@@ -1,8 +1,10 @@
 //! The discrete-event simulation engine.
 //!
 //! Each simulated hardware thread executes its [`Program`] op by op. The
-//! engine keeps a priority queue of thread wake-ups and models five
-//! resource classes:
+//! engine pops events — thread wake-ups and, under arbitrated policies,
+//! controller arbitration steps — from a calendar queue (`crate::queue`)
+//! in exact `(tick, scheduling order)` order, and models five resource
+//! classes:
 //!
 //! * per-core **memory pipes** (2 on the T2) — every memory op takes an
 //!   issue slot;
@@ -22,7 +24,7 @@
 //!
 //! ## Two service paths
 //!
-//! Memory controllers are first-class event sources: the priority queue
+//! Memory controllers are first-class event sources: the event queue
 //! holds thread wake-ups *and* `(next_tick, mc_id)` controller arbitration
 //! wake-ups (see [`crate::policy`] and DESIGN.md §13). Which path a run
 //! takes depends on the configured [`crate::policy::PolicyKind`]:
@@ -70,10 +72,9 @@ use crate::cache::{Access, L2Cache};
 use crate::config::ChipConfig;
 use crate::mc::MemController;
 use crate::policy::{MemRequest, QueuePolicy, ReqClass};
+use crate::queue::EventQueue;
 use crate::stats::SimStats;
 use crate::trace::{Op, Program};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 use t2opt_core::mapping::PageHomes;
 use t2opt_telemetry::probe::{NoProbe, SimProbe, StallKind};
@@ -118,9 +119,9 @@ fn retain_future(q: &mut VecDeque<u64>, now: u64) {
     q.retain(|&c| c > now);
 }
 
-/// An entry in the engine's priority queue. Ties on `(time, seq)` never
-/// reach the event payload (`seq` is globally unique), so thread-only event
-/// streams — the FIFO fast path — pop in exactly the pre-policy order.
+/// An event in the engine's [`EventQueue`]. Events pop by tick and, within
+/// a tick, in the order they were scheduled, so the payload never decides
+/// the order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     /// Wake hardware thread `tid`.
@@ -421,20 +422,9 @@ impl Simulation {
         let mut barriers: std::collections::HashMap<u32, BarrierState> =
             std::collections::HashMap::new();
 
-        let mut heap: BinaryHeap<Reverse<(u64, u64, Ev)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let push =
-            |heap: &mut BinaryHeap<Reverse<(u64, u64, Ev)>>, seq: &mut u64, time: u64, tid: u32| {
-                *seq += 1;
-                heap.push(Reverse((time, *seq, Ev::Thread(tid))));
-            };
-        let push_arb =
-            |heap: &mut BinaryHeap<Reverse<(u64, u64, Ev)>>, seq: &mut u64, time: u64, mci: u32| {
-                *seq += 1;
-                heap.push(Reverse((time, *seq, Ev::McArb(mci))));
-            };
+        let mut q: EventQueue<Ev> = EventQueue::new();
         for tid in 0..n_threads {
-            push(&mut heap, &mut seq, 0, tid as u32);
+            q.push(0, Ev::Thread(tid as u32));
         }
         let mut live = n_threads;
 
@@ -468,7 +458,7 @@ impl Simulation {
                             if gang_count[p as usize] < gang_min.saturating_add(w) {
                                 probe.stall(p, StallKind::Drift, ts[p as usize].park_start, now);
                                 ts[p as usize].wait = Wait::None;
-                                push(&mut heap, &mut seq, now, p);
+                                q.push(now, Ev::Thread(p));
                                 false
                             } else {
                                 true
@@ -480,7 +470,7 @@ impl Simulation {
         }
 
         // Schedules controller `mci`'s next arbitration wake-up at `at`,
-        // deduplicating against an earlier-or-equal one already in the heap.
+        // deduplicating against an earlier-or-equal one already queued.
         macro_rules! sched_arb {
             ($mci:expr, $at:expr) => {{
                 let mci = $mci;
@@ -488,7 +478,7 @@ impl Simulation {
                 let st = &mut mc_st[mci];
                 if st.arb_at.map_or(true, |t| at < t) {
                     st.arb_at = Some(at);
-                    push_arb(&mut heap, &mut seq, at, mci as u32);
+                    q.push(at, Ev::McArb(mci as u32));
                 }
             }};
         }
@@ -506,7 +496,7 @@ impl Simulation {
             }};
         }
 
-        while let Some(Reverse((now, _s, ev))) = heap.pop() {
+        while let Some((now, ev)) = q.pop() {
             let tid = match ev {
                 Ev::Thread(tid) => tid,
                 Ev::McArb(mci) => {
@@ -598,7 +588,7 @@ impl Simulation {
                     for w in std::mem::take(&mut mc_st[mci].retry) {
                         probe.stall(w, StallKind::Nack, ts[w as usize].park_start, slot_free);
                         ts[w as usize].wait = Wait::None;
-                        push(&mut heap, &mut seq, slot_free, w);
+                        q.push(slot_free, Ev::Thread(w));
                     }
                     if let (Some(b), Some(owner)) = (req.bank, req.tid) {
                         // A demand read or RFO: the MSHR it holds resolves,
@@ -623,7 +613,7 @@ impl Simulation {
                         for w in std::mem::take(&mut bank_st[b].retry) {
                             probe.stall(w, StallKind::Nack, ts[w as usize].park_start, slot_free);
                             ts[w as usize].wait = Wait::None;
-                            push(&mut heap, &mut seq, slot_free, w);
+                            q.push(slot_free, Ev::Thread(w));
                         }
                         let oi = owner as usize;
                         let t = &mut ts[oi];
@@ -650,7 +640,7 @@ impl Simulation {
                             let start = t.park_start;
                             t.wait = Wait::None;
                             probe.stall(owner, kind, start, ready);
-                            push(&mut heap, &mut seq, ready, owner);
+                            q.push(ready, Ev::Thread(owner));
                         }
                     }
                     if !mc_st[mci].pending.is_empty() {
@@ -686,7 +676,7 @@ impl Simulation {
             let core = ts[tid as usize].core;
             match op {
                 Op::Delay(c) => {
-                    push(&mut heap, &mut seq, now + c as u64, tid);
+                    q.push(now + c as u64, Ev::Thread(tid));
                 }
                 Op::Compute(flops) => {
                     let cycles = (flops as f64 / cfg.core.fpu_flops_per_cycle)
@@ -698,7 +688,7 @@ impl Simulation {
                     }
                     fpu_busy[core] = start + cycles;
                     stats.flops += flops as u64;
-                    push(&mut heap, &mut seq, start + cycles, tid);
+                    q.push(start + cycles, Ev::Thread(tid));
                 }
                 Op::Barrier(id) => {
                     let b = barriers.entry(id).or_insert(BarrierState {
@@ -715,9 +705,9 @@ impl Simulation {
                             probe.stall(w, StallKind::Barrier, ts[w as usize].park_start, release);
                             ts[w as usize].wait = Wait::None;
                             in_gang[w as usize] = true;
-                            push(&mut heap, &mut seq, release, w);
+                            q.push(release, Ev::Thread(w));
                         }
-                        push(&mut heap, &mut seq, release, tid);
+                        q.push(release, Ev::Thread(tid));
                         probe.barrier_release(id, release);
                         if self.measure_after_barrier == Some(id) {
                             stats.reset_window(release);
@@ -763,7 +753,7 @@ impl Simulation {
                                 t.pending = Some(op);
                                 if let Some(&wake) = t.loads.iter().min() {
                                     probe.stall(tid, StallKind::LoadMiss, now, wake);
-                                    push(&mut heap, &mut seq, wake, tid);
+                                    q.push(wake, Ev::Thread(tid));
                                 } else {
                                     t.wait = Wait::Data;
                                     t.park_kind = StallKind::LoadMiss;
@@ -778,7 +768,7 @@ impl Simulation {
                                 t.pending = Some(op);
                                 if let Some(&wake) = t.stores.iter().min() {
                                     probe.stall(tid, StallKind::StoreBuffer, now, wake);
-                                    push(&mut heap, &mut seq, wake, tid);
+                                    q.push(wake, Ev::Thread(tid));
                                 } else {
                                     t.wait = Wait::Data;
                                     t.park_kind = StallKind::StoreBuffer;
@@ -796,7 +786,7 @@ impl Simulation {
                         if pipe_free > now {
                             ts[tid as usize].pending = Some(op);
                             probe.stall(tid, StallKind::Pipe, now, pipe_free);
-                            push(&mut heap, &mut seq, pipe_free, tid);
+                            q.push(pipe_free, Ev::Thread(tid));
                             continue;
                         }
                         let bank = cfg.map.bank(addr) as usize;
@@ -837,7 +827,7 @@ impl Simulation {
                                     Some(wake) => {
                                         let retry_at = wake.max(now + 1);
                                         probe.stall(tid, StallKind::Nack, now, retry_at);
-                                        push(&mut heap, &mut seq, retry_at, tid);
+                                        q.push(retry_at, Ev::Thread(tid));
                                     }
                                     None => {
                                         let t = &mut ts[tid as usize];
@@ -875,7 +865,7 @@ impl Simulation {
                                 } else {
                                     bank_start + cfg.l2.hit_latency
                                 };
-                                push(&mut heap, &mut seq, resume, tid);
+                                q.push(resume, Ev::Thread(tid));
                             }
                             Access::Miss { writeback } => {
                                 stats.l2_misses += 1;
@@ -934,7 +924,7 @@ impl Simulation {
                                     // Store miss: the RFO drains from the
                                     // store buffer; the thread moves on.
                                     t.stores_pending += 1;
-                                    push(&mut heap, &mut seq, bank_done, tid);
+                                    q.push(bank_done, Ev::Thread(tid));
                                 } else {
                                     t.loads_pending += 1;
                                     if t.loads.len() + t.loads_pending >= outstanding_limit {
@@ -943,7 +933,7 @@ impl Simulation {
                                         // exists only after arbitration.
                                         if let Some(&wake) = t.loads.iter().min() {
                                             probe.stall(tid, StallKind::LoadMiss, bank_done, wake);
-                                            push(&mut heap, &mut seq, wake, tid);
+                                            q.push(wake, Ev::Thread(tid));
                                         } else {
                                             t.wait = Wait::Data;
                                             t.park_kind = StallKind::LoadMiss;
@@ -951,7 +941,7 @@ impl Simulation {
                                         }
                                     } else {
                                         // Hit-under-miss headroom.
-                                        push(&mut heap, &mut seq, bank_done, tid);
+                                        q.push(bank_done, Ev::Thread(tid));
                                     }
                                 }
                             }
@@ -972,7 +962,7 @@ impl Simulation {
                             let wake = *t.loads.front().unwrap();
                             t.pending = Some(op);
                             probe.stall(tid, StallKind::LoadMiss, now, wake);
-                            push(&mut heap, &mut seq, wake, tid);
+                            q.push(wake, Ev::Thread(tid));
                             continue;
                         }
                     } else {
@@ -983,7 +973,7 @@ impl Simulation {
                             let wake = *t.stores.front().unwrap();
                             t.pending = Some(op);
                             probe.stall(tid, StallKind::StoreBuffer, now, wake);
-                            push(&mut heap, &mut seq, wake, tid);
+                            q.push(wake, Ev::Thread(tid));
                             continue;
                         }
                     }
@@ -996,7 +986,7 @@ impl Simulation {
                     if pipe_free > now {
                         ts[tid as usize].pending = Some(op);
                         probe.stall(tid, StallKind::Pipe, now, pipe_free);
-                        push(&mut heap, &mut seq, pipe_free, tid);
+                        q.push(pipe_free, Ev::Thread(tid));
                         continue;
                     }
                     // NACK checks: a miss needs a controller-queue slot and
@@ -1033,7 +1023,7 @@ impl Simulation {
                             let retry_at = wake.max(now + 1);
                             probe.nack(now, tid, mc, bank, mc_full);
                             probe.stall(tid, StallKind::Nack, now, retry_at);
-                            push(&mut heap, &mut seq, retry_at, tid);
+                            q.push(retry_at, Ev::Thread(tid));
                             continue;
                         }
                     }
@@ -1062,7 +1052,7 @@ impl Simulation {
                             } else {
                                 bank_start + cfg.l2.hit_latency
                             };
-                            push(&mut heap, &mut seq, resume, tid);
+                            q.push(resume, Ev::Thread(tid));
                         }
                         Access::Miss { writeback } => {
                             stats.l2_misses += 1;
@@ -1129,7 +1119,7 @@ impl Simulation {
                                 // buffer; the thread is not blocked.
                                 t.stores.push_back(completion);
                                 t.drain_until = t.drain_until.max(completion);
-                                push(&mut heap, &mut seq, bank_done, tid);
+                                q.push(bank_done, Ev::Thread(tid));
                             } else {
                                 let data_ready = completion + cfg.mem.extra_latency;
                                 t.loads.push_back(data_ready);
@@ -1139,10 +1129,10 @@ impl Simulation {
                                     // the data returns.
                                     let wake = *t.loads.front().unwrap();
                                     probe.stall(tid, StallKind::LoadMiss, bank_done, wake);
-                                    push(&mut heap, &mut seq, wake, tid);
+                                    q.push(wake, Ev::Thread(tid));
                                 } else {
                                     // Hit-under-miss headroom (ablations).
-                                    push(&mut heap, &mut seq, bank_done, tid);
+                                    q.push(bank_done, Ev::Thread(tid));
                                 }
                             }
                         }

@@ -48,6 +48,7 @@ pub mod config;
 pub mod engine;
 pub mod mc;
 pub mod policy;
+mod queue;
 pub mod stats;
 pub mod trace;
 

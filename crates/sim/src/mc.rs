@@ -11,10 +11,13 @@
 //! read-heavy ones (triad, 1 write per 2–3 reads) — the paper's "overhead
 //! for bidirectional transfers" (§2.1).
 //!
-//! Service is FIFO per channel, so a request's completion time is known at
-//! admission — the engine schedules thread wake-ups directly instead of
-//! simulating server events. Per-transfer times carry a deterministic
-//! jitter (DRAM row hits/misses, refresh).
+//! Each `service_read`/`service_write` call serves one transfer, in call
+//! order, and returns its completion time. Under the FIFO policy the engine
+//! calls them at admission, so the completion is known at once and the
+//! waiting thread's wake-up is scheduled directly; under an arbitrated
+//! policy it calls them from the controller's arbitration event, once the
+//! policy has picked the request (see [`crate::policy`]). Per-transfer
+//! times carry a deterministic jitter (DRAM row hits/misses, refresh).
 
 use crate::config::MemConfig;
 

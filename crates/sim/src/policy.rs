@@ -11,7 +11,7 @@
 //! This module is the seam that removes the wall. A [`QueuePolicy`]
 //! inspects the controller's pending requests at an arbitration instant
 //! and picks the next one to service; the engine gives every controller
-//! its own `(next_tick, mc_id)` wake-ups in the event heap and calls the
+//! its own `(next_tick, mc_id)` wake-ups in the event queue and calls the
 //! policy each time a service slot opens (see `engine.rs` and DESIGN.md
 //! §13).
 //!

@@ -115,7 +115,7 @@ proptest! {
         prop_assert_eq!(stats.l2_hits + stats.l2_misses, stats.mem_ops);
     }
 
-    /// On the arbitrated path, controller decisions are driven by heap
+    /// On the arbitrated path, controller decisions are driven by queued
     /// events, so each controller's service times are monotone
     /// non-decreasing — time never runs backwards for an event source.
     #[test]

@@ -1,29 +1,42 @@
-//! Regenerates the FIFO differential-pinning golden file
-//! (`tests/golden/policy_fifo.json`) from the matrix defined in
-//! `t2opt::golden`.
+//! Regenerates a differential-pinning golden file from the matrices
+//! defined in `t2opt::golden`:
 //!
-//! The committed file was captured from the **pre-refactor** engine (before
-//! memory-controller arbitration events and `QueuePolicy` existed) and is
-//! the ground truth `tests/policy_differential.rs` holds the refactored
-//! FIFO path to. Re-run this only when the matrix itself is intentionally
-//! extended — never to "fix" a differential failure, which is a real
-//! regression in the engine's pinned default behavior.
+//! * `fifo` (the default): `tests/golden/policy_fifo.json`, captured from
+//!   the **pre-refactor** engine (before memory-controller arbitration
+//!   events and `QueuePolicy` existed) and held to by
+//!   `tests/policy_differential.rs`;
+//! * `engine-paths`: `tests/golden/engine_paths.json`, the arbitrated,
+//!   NUMA and event-queue-overflow cases, captured from the engine before
+//!   its event queue became a calendar queue.
+//!
+//! Re-run this only when a matrix itself is intentionally extended —
+//! never to "fix" a differential failure, which is a real regression in
+//! the engine's pinned behavior.
 //!
 //! ```text
-//! cargo run --release --example policy_golden
+//! cargo run --release --example policy_golden [-- fifo|engine-paths]
 //! ```
 
-use t2opt::golden::{run_matrix, GoldenCase, GoldenFile, GOLDEN_PATH};
+use t2opt::golden::{
+    run_engine_paths_matrix, run_matrix, GoldenCase, GoldenFile, ENGINE_PATHS_GOLDEN_PATH,
+    GOLDEN_PATH,
+};
 
 fn main() {
-    let cases: Vec<GoldenCase> = run_matrix()
+    let which = std::env::args().nth(1).unwrap_or_else(|| "fifo".into());
+    let (matrix, path) = match which.as_str() {
+        "fifo" => (run_matrix(), GOLDEN_PATH),
+        "engine-paths" => (run_engine_paths_matrix(), ENGINE_PATHS_GOLDEN_PATH),
+        other => panic!("unknown matrix {other:?} (expected fifo or engine-paths)"),
+    };
+    let cases: Vec<GoldenCase> = matrix
         .into_iter()
         .map(|(name, stats)| GoldenCase { name, stats })
         .collect();
     eprintln!("captured {} matrix cases", cases.len());
     for c in &cases {
         eprintln!(
-            "  {:40} cycles {:8}  misses {:7}  nacks {:6}",
+            "  {:44} cycles {:8}  misses {:7}  nacks {:6}",
             c.name,
             c.stats.cycles(),
             c.stats.l2_misses,
@@ -31,6 +44,6 @@ fn main() {
         );
     }
     std::fs::create_dir_all("tests/golden").expect("create tests/golden");
-    t2opt_core::json::write_json(GOLDEN_PATH, &GoldenFile { cases }).expect("write golden file");
-    eprintln!("wrote {GOLDEN_PATH}");
+    t2opt_core::json::write_json(path, &GoldenFile { cases }).expect("write golden file");
+    eprintln!("wrote {path}");
 }

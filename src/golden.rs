@@ -1,4 +1,5 @@
-//! The FIFO differential-pinning matrix.
+//! The differential-pinning matrices: FIFO, and the engine paths FIFO
+//! does not reach.
 //!
 //! The `QueuePolicy` refactor (DESIGN.md §13) moved memory-controller
 //! service-time decisions out of the enqueue path and into an arbitration
@@ -23,17 +24,31 @@
 //! in the controller mapping, which the cache size does not touch. Two
 //! stock-T2 cases (the Fig. 4 layout extremes at 64 threads) cover the
 //! unshrunk calibrated machine.
+//!
+//! The FIFO matrix never reaches the arbitrated controller path, the NUMA
+//! presets, or events scheduled far beyond the engine's event-queue ring
+//! (DESIGN.md §13). [`run_engine_paths_matrix`] pins those, at the same
+//! sizes, against `tests/golden/engine_paths.json`: a capture of the
+//! engine as it was before its event queue became a calendar queue, which
+//! must pop exactly the old binary heap's order.
 
-use t2opt_core::chip::PRESET_NAMES;
+use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
 use t2opt_core::json::JsonValue;
+use t2opt_core::mapping::PagePlacement;
 use t2opt_kernels::stream::{self, StreamConfig, StreamKernel};
 use t2opt_kernels::triad::{self, TriadConfig, TriadLayout};
 use t2opt_parallel::Placement;
-use t2opt_sim::{ChipConfig, SimStats};
+use t2opt_sim::policy::PolicyKind;
+use t2opt_sim::trace::{Op, Program};
+use t2opt_sim::{ChipConfig, SimStats, Simulation};
 
 /// Where the committed pre-refactor capture lives, relative to the
 /// workspace root.
 pub const GOLDEN_PATH: &str = "tests/golden/policy_fifo.json";
+
+/// Where the committed engine-paths capture lives, relative to the
+/// workspace root.
+pub const ENGINE_PATHS_GOLDEN_PATH: &str = "tests/golden/engine_paths.json";
 
 /// Serialized envelope of one matrix capture.
 #[derive(serde::Serialize)]
@@ -64,44 +79,57 @@ fn scatter(chip: &ChipConfig) -> Placement {
     }
 }
 
+fn is_numa(preset: &str) -> bool {
+    ChipSpec::preset(preset)
+        .expect("registry preset resolves")
+        .sockets
+        .is_numa()
+}
+
+/// The matrix's thread count on `chip`.
+fn matrix_threads(chip: &ChipConfig) -> usize {
+    chip.max_threads().min(16)
+}
+
+/// One N = 2^15 STREAM run of `kernel` at `offset` words, scattered.
+fn stream_stats(chip: &ChipConfig, kernel: StreamKernel, offset: usize) -> SimStats {
+    stream::run_sim(
+        &StreamConfig::fig2(1 << 15, offset, matrix_threads(chip)),
+        kernel,
+        chip,
+        &scatter(chip),
+    )
+    .stats
+}
+
+/// The three STREAM regimes of both matrices: read-heavy fully aliased
+/// and advisor-spread, plus a write-heavy kernel (north-bound convoy,
+/// spread pipelining, south-bound pressure).
+const STREAM_CASES: [(&str, StreamKernel, usize); 3] = [
+    ("triad-aliased", StreamKernel::Triad, 0),
+    ("triad-spread", StreamKernel::Triad, 16),
+    ("copy-8", StreamKernel::Copy, 8),
+];
+
 /// Runs the full matrix and returns `(name, stats)` per case.
 pub fn run_matrix() -> Vec<(String, SimStats)> {
     let mut out = Vec::new();
     for preset in PRESET_NAMES {
         // The golden file is a *pre-NUMA* capture: it pins the single-socket
         // engine bitwise. NUMA presets are covered by their own suites
-        // (`tests/chip_matrix.rs`, the engine unit tests) — including them
-        // here would change the committed matrix, not pin it.
-        if t2opt_core::chip::ChipSpec::preset(preset)
-            .expect("registry preset resolves")
-            .sockets
-            .is_numa()
-        {
+        // (`tests/chip_matrix.rs`, the engine-paths matrix below) —
+        // including them here would change the committed matrix, not pin it.
+        if is_numa(preset) {
             continue;
         }
         let chip = shrunk(preset);
-        let threads = chip.max_threads().min(16);
-        let run = |kernel, offset: usize| {
-            stream::run_sim(
-                &StreamConfig::fig2(1 << 15, offset, threads),
-                kernel,
-                &chip,
-                &scatter(&chip),
-            )
-            .stats
-        };
-        // Read-heavy, fully aliased / advisor-spread, plus a write-heavy
-        // kernel: the three MC service regimes (north-bound convoy, spread
-        // pipelining, south-bound pressure).
-        out.push((
-            format!("{preset}/triad-aliased"),
-            run(StreamKernel::Triad, 0),
-        ));
-        out.push((
-            format!("{preset}/triad-spread"),
-            run(StreamKernel::Triad, 16),
-        ));
-        out.push((format!("{preset}/copy-8"), run(StreamKernel::Copy, 8)));
+        let threads = matrix_threads(&chip);
+        for (label, kernel, offset) in STREAM_CASES {
+            out.push((
+                format!("{preset}/{label}"),
+                stream_stats(&chip, kernel, offset),
+            ));
+        }
         // The probe path: a traced run must produce the same statistics.
         let (traced, _) = stream::run_sim_traced(
             &StreamConfig::fig2(1 << 15, 0, threads),
@@ -128,6 +156,96 @@ pub fn run_matrix() -> Vec<(String, SimStats)> {
             format!("t2-stock/triad64-{label}"),
             triad::run_sim(&cfg, &chip, &Placement::t2_scatter()).stats,
         ));
+    }
+    out
+}
+
+/// Delays the overflow case's rounds open with, in cycles. Each lies far
+/// beyond the engine's event-queue ring, and they grow so that every
+/// round's wake-ups sit past everything scheduled before them.
+const OVERFLOW_DELAYS: [u32; 4] = [5_000, 20_000, 70_000, 150_000];
+
+/// Programs whose events overflow the engine's event-queue ring and then
+/// meet same-tick events pushed inside it.
+///
+/// Every round starts with all threads at one tick (tick 0, then each
+/// barrier release). Even threads then delay by `d`; odd threads by `d - 1`
+/// and then by 1. So at tick `release + d` the even threads' wake-ups
+/// arrive from the overflow store while the odd threads' are pushed
+/// straight into the ring, and the even ones must still pop first: they
+/// were scheduled first. Then every thread issues a burst of misses. The
+/// threads are not interchangeable — bursts differ in length, stream
+/// offset and store mix, and each core (`tid / 4`) hosts both parities —
+/// so the pop order decides which thread gets a memory pipe, a queue slot
+/// or a controller's next jitter draw first, and that shows in the
+/// statistics. Each round's lines fall into the sets of the rounds before
+/// it (256 KiB apart, on the shrunk L2), so from the second round on they
+/// evict dirty lines and the write-backs give the arbitrated policies
+/// something to reorder.
+fn delay_overflow_programs(threads: usize) -> Vec<Program> {
+    (0..threads as u64)
+        .map(|t| {
+            let base = t * (1 << 20) + (t % 4) * 128;
+            let burst = 24 + 4 * (t % 5);
+            let mut ops = Vec::new();
+            for (round, &d) in OVERFLOW_DELAYS.iter().enumerate() {
+                if t % 2 == 0 {
+                    ops.push(Op::Delay(d));
+                } else {
+                    ops.extend([Op::Delay(d - 1), Op::Delay(1)]);
+                }
+                for i in 0..burst {
+                    let addr = base + round as u64 * (1 << 18) + i * 64;
+                    ops.push(if (i + t) % 4 == 3 {
+                        Op::Write(addr)
+                    } else {
+                        Op::Read(addr)
+                    });
+                }
+                ops.push(Op::Barrier(round as u32));
+            }
+            Box::new(ops.into_iter()) as Program
+        })
+        .collect()
+}
+
+/// Runs the engine-paths matrix and returns `(name, stats)` per case:
+///
+/// * `read-first` and `fr-fcfs` on every single-socket preset × the three
+///   STREAM regimes — the arbitrated controller path and its events;
+/// * `2s-numa` and `4s-numa-wide` under every page placement — the NUMA
+///   remap and the inter-socket link;
+/// * the overflow case ([`delay_overflow_programs`]) on the shrunk T2,
+///   under FIFO and `read-first`.
+pub fn run_engine_paths_matrix() -> Vec<(String, SimStats)> {
+    let mut out = Vec::new();
+    for preset in PRESET_NAMES.into_iter().filter(|p| !is_numa(p)) {
+        for policy in ["read-first", "fr-fcfs"] {
+            let mut chip = shrunk(preset);
+            chip.policy = PolicyKind::parse(policy).expect("registered policy");
+            for (label, kernel, offset) in STREAM_CASES {
+                out.push((
+                    format!("{preset}/{policy}/{label}"),
+                    stream_stats(&chip, kernel, offset),
+                ));
+            }
+        }
+    }
+    for preset in PRESET_NAMES.into_iter().filter(|p| is_numa(p)) {
+        for placement in PagePlacement::ALL {
+            let mut chip = shrunk(preset);
+            chip.placement = placement;
+            out.push((
+                format!("{preset}/{}/triad-aliased", placement.label()),
+                stream_stats(&chip, StreamKernel::Triad, 0),
+            ));
+        }
+    }
+    for policy in ["fifo", "read-first"] {
+        let mut chip = shrunk("ultrasparc-t2");
+        chip.policy = PolicyKind::parse(policy).expect("registered policy");
+        let stats = Simulation::new(chip).run_programs(delay_overflow_programs(16), |t| t / 4);
+        out.push((format!("ultrasparc-t2/{policy}/delay-overflow"), stats));
     }
     out
 }

@@ -1,39 +1,36 @@
-//! FIFO differential pinning: the `QueuePolicy` refactor (DESIGN.md §13)
-//! must leave the default FIFO discipline **bitwise identical** to the
-//! pre-refactor engine.
+//! Differential pinning: engine changes must leave simulated behavior
+//! **bitwise identical** to committed captures.
 //!
-//! `tests/golden/policy_fifo.json` was captured from the engine *before*
-//! controller arbitration events and `QueuePolicy` existed (see
-//! `examples/policy_golden.rs`). This test re-runs the same matrix — every
-//! registered chip preset × {aliased triad, spread triad, write-heavy
-//! copy}, the traced/probe path, and the stock-T2 Fig. 4 extremes — and
-//! compares every `SimStats` field with `==`. A mismatch is a regression
-//! in the engine's pinned default behavior, not a reason to regenerate the
-//! golden file.
+//! * `tests/golden/policy_fifo.json` was captured from the engine *before*
+//!   controller arbitration events and `QueuePolicy` existed (DESIGN.md
+//!   §13). Its matrix — every single-socket chip preset × {aliased triad,
+//!   spread triad, write-heavy copy}, the traced/probe path, and the
+//!   stock-T2 Fig. 4 extremes — pins the default FIFO discipline.
+//! * `tests/golden/engine_paths.json` pins what that matrix does not
+//!   reach: the arbitrated policies, the NUMA presets under every page
+//!   placement, and events scheduled past the event queue's ring. It was
+//!   captured from the engine before the calendar queue replaced its
+//!   binary heap.
+//!
+//! Both files are written by `examples/policy_golden.rs`. Every `SimStats`
+//! field is compared with `==`; a mismatch is a regression in the engine,
+//! not a reason to regenerate a golden file.
 
-use t2opt::golden::{load_golden, run_matrix, GOLDEN_PATH};
+use t2opt::golden::{
+    load_golden, run_engine_paths_matrix, run_matrix, ENGINE_PATHS_GOLDEN_PATH, GOLDEN_PATH,
+};
 use t2opt::sim::policy::PolicyKind;
+use t2opt::sim::SimStats;
 
-#[test]
-fn fifo_is_the_default_policy() {
-    assert!(PolicyKind::default().is_fifo());
-    assert!(t2opt::sim::ChipConfig::ultrasparc_t2().policy.is_fifo());
-    for name in t2opt::core::chip::PRESET_NAMES {
-        let c = t2opt::sim::ChipConfig::preset(name).expect("preset resolves");
-        assert!(c.policy.is_fifo(), "preset {name} must default to FIFO");
-    }
-}
-
-#[test]
-fn fifo_stats_match_the_pre_refactor_golden_bitwise() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
+/// Compares a re-run matrix against the committed capture at `rel_path`.
+fn assert_matches_golden(rel_path: &str, current: Vec<(String, SimStats)>) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel_path);
     let golden = load_golden(&path);
-    let current = run_matrix();
     assert_eq!(
         golden.len(),
         current.len(),
-        "matrix size drifted from the committed golden — \
-         extend the golden only via examples/policy_golden.rs"
+        "matrix size drifted from {rel_path} — \
+         extend a golden only via examples/policy_golden.rs"
     );
     let mut failures = Vec::new();
     for ((gname, gstats), (cname, cstats)) in golden.iter().zip(current.iter()) {
@@ -47,10 +44,30 @@ fn fifo_stats_match_the_pre_refactor_golden_bitwise() {
     }
     assert!(
         failures.is_empty(),
-        "FIFO is no longer bitwise identical to the pre-refactor engine \
+        "the engine is no longer bitwise identical to {rel_path} \
          ({} of {} cases differ):\n{}",
         failures.len(),
         golden.len(),
         failures.join("\n")
     );
+}
+
+#[test]
+fn fifo_is_the_default_policy() {
+    assert!(PolicyKind::default().is_fifo());
+    assert!(t2opt::sim::ChipConfig::ultrasparc_t2().policy.is_fifo());
+    for name in t2opt::core::chip::PRESET_NAMES {
+        let c = t2opt::sim::ChipConfig::preset(name).expect("preset resolves");
+        assert!(c.policy.is_fifo(), "preset {name} must default to FIFO");
+    }
+}
+
+#[test]
+fn fifo_stats_match_the_pre_refactor_golden_bitwise() {
+    assert_matches_golden(GOLDEN_PATH, run_matrix());
+}
+
+#[test]
+fn arbitrated_numa_and_overflow_stats_match_the_engine_paths_golden_bitwise() {
+    assert_matches_golden(ENGINE_PATHS_GOLDEN_PATH, run_engine_paths_matrix());
 }
