@@ -133,8 +133,9 @@ pub struct ChipConfig {
     pub map: MapPolicy,
     /// The memory-controller queue arbitration discipline (see
     /// [`crate::policy`]). [`PolicyKind::Fifo`] — the T2's behavior and the
-    /// default — keeps the engine on its historical inline service path and
-    /// is pinned bitwise by `tests/policy_differential.rs`.
+    /// default — services every transfer at admission and never schedules
+    /// an arbitration event; it is pinned bitwise by
+    /// `tests/policy_differential.rs`.
     pub policy: PolicyKind,
     /// Socket/locality structure. On the single-socket identity the engine
     /// takes no NUMA branch at all, preserving bitwise-identical `SimStats`

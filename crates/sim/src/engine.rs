@@ -22,31 +22,38 @@
 //!   while *stores* retire through an 8-entry TSO store buffer whose
 //!   read-for-ownerships drain asynchronously.
 //!
-//! ## Two service paths
+//! ## One memory path, two admission disciplines
 //!
 //! Memory controllers are first-class event sources: the event queue
 //! holds thread wake-ups *and* `(next_tick, mc_id)` controller arbitration
-//! wake-ups (see [`crate::policy`] and DESIGN.md §13). Which path a run
-//! takes depends on the configured [`crate::policy::PolicyKind`]:
+//! wake-ups (see [`crate::policy`] and DESIGN.md §13). Every memory op
+//! takes the same path — budget check, pipe slot, NUMA remap, NACK check,
+//! bank access, write-back routing — and every transfer the same service
+//! step (channel model, queue-slot and MSHR release, link crossing, the
+//! owner's loads or stores, retry release). The configured
+//! [`crate::policy::PolicyKind`] decides only *when* the service step
+//! runs:
 //!
-//! * **FIFO (the pinned default).** Because FIFO's service decision can
-//!   never depend on requests that arrive later, a request's completion
-//!   time is known the moment it is admitted; the engine resolves it
-//!   inline on the enqueue path, schedules exact thread wake-ups, and
-//!   never emits a controller event — the historical fast path, kept
-//!   statement-for-statement and held to bitwise-identical [`SimStats`]
-//!   by `tests/policy_differential.rs`.
-//! * **Arbitrated (FR-FCFS, read-over-write, …).** Admission only parks
-//!   the request in the controller's pending queue and schedules an
+//! * **FIFO (the pinned default)** services at admission: its service
+//!   order can never depend on requests that arrive later, so the
+//!   completion time is known at once and no controller event is ever
+//!   scheduled. Its completion lists stay in admission order, drop
+//!   completed entries from the front only, and free a slot at position
+//!   `len − cap`; `tests/policy_differential.rs` holds its [`SimStats`]
+//!   and probe stream bitwise to captures of the engine from before the
+//!   path was shared.
+//! * **Arbitrated (FR-FCFS, read-over-write, …)** admission only parks the
+//!   request in the controller's pending queue and schedules an
 //!   arbitration event; when the event fires and the southbound channel
 //!   is free, the [`crate::policy::QueuePolicy`] picks among the arrived
-//!   requests, the transfer is serviced, and the waiting thread's wake-up
-//!   is scheduled at the *resolved* completion time. NACKed threads whose
-//!   retry time is unknowable (every queue occupant still unresolved)
-//!   park on the controller and are released by the next service.
+//!   requests and the service step resolves the pick. Completed entries
+//!   are dropped wherever they sit, and a slot frees at the earliest
+//!   completion. NACKed threads whose retry time is unknowable (every
+//!   queue occupant still unresolved) park on the controller and are
+//!   released by the next service.
 //!
-//! Full controller queues and full bank miss buffers NACK the request in
-//! both paths. Everything is deterministically seeded and policies are
+//! Full controller queues and full bank miss buffers NACK the request
+//! under both. Everything is deterministically seeded and policies are
 //! required to be deterministic, so simulations are bit-reproducible
 //! under every policy.
 //!
@@ -102,21 +109,35 @@ pub struct Simulation {
     measure_after_barrier: Option<u32>,
 }
 
-/// Drops completed entries (≤ now) from the front of a completion-time
-/// queue.
+/// Drops the completed entries (≤ now) of a list of completion times: a
+/// controller's queue slots, a bank's MSHRs, a thread's loads or stores.
+///
+/// FIFO keeps every list in admission order and drops from the front only,
+/// so an entry that completed behind a later-completing one keeps its slot
+/// until the front clears. Arbitrated policies resolve completions out of
+/// order and drop every completed entry.
 #[inline]
-fn prune(q: &mut VecDeque<u64>, now: u64) {
-    while q.front().is_some_and(|&c| c <= now) {
-        q.pop_front();
+fn drop_completed(fifo: bool, q: &mut VecDeque<u64>, now: u64) {
+    if fifo {
+        while q.front().is_some_and(|&c| c <= now) {
+            q.pop_front();
+        }
+    } else {
+        q.retain(|&c| c > now);
     }
 }
 
-/// Drops completed entries (≤ now) from an *unordered* completion list —
-/// the arbitrated path resolves completions out of admission order, so the
-/// front-only [`prune`] would leak entries there.
+/// When one of `cap` full slots frees, given the completion times `q` of
+/// the serviced entries holding them: position `len − cap` of FIFO's
+/// admission-ordered list, the earliest entry under arbitration. `None`
+/// when no holder is serviced yet, so the time is unknowable.
 #[inline]
-fn retain_future(q: &mut VecDeque<u64>, now: u64) {
-    q.retain(|&c| c > now);
+fn slot_frees_at(fifo: bool, q: &VecDeque<u64>, cap: usize) -> Option<u64> {
+    if fifo {
+        q.len().checked_sub(cap).map(|i| q[i])
+    } else {
+        q.iter().min().copied()
+    }
 }
 
 /// An event in the engine's [`EventQueue`]. Events pop by tick and, within
@@ -268,21 +289,15 @@ impl Simulation {
         let mut mcs: Vec<MemController> = (0..cfg.n_controllers())
             .map(|i| MemController::new_seeded(&cfg.mem, i as u64 + 1))
             .collect();
-        // ---- FIFO fast-path occupancy (unused on the arbitrated path) ----
-        // Completion times of requests admitted to each controller's finite
-        // input queue (occupancy + NACK wake times).
-        let mut mc_admitted: Vec<VecDeque<u64>> = vec![VecDeque::new(); cfg.n_controllers()];
-        // Completion times of outstanding misses per L2 bank (MSHRs).
-        let mut bank_inflight: Vec<VecDeque<u64>> = vec![VecDeque::new(); cfg.n_banks()];
-
-        // ---- Arbitrated-path state (unused on the FIFO fast path) ----
-        /// One controller's arbitration-side queue state.
+        // ---- Controller and bank queue state ----
+        /// One controller's queue state.
         struct McState {
             /// The socket this controller belongs to (contiguous groups of
             /// `mcs_per_socket`; always 0 on single-socket chips).
             socket: u32,
-            /// Admitted requests awaiting arbitration. Each occupies a
-            /// queue slot until its transfer *completes*.
+            /// Admitted requests awaiting arbitration (always empty under
+            /// FIFO, which services at admission). Each occupies a queue
+            /// slot until its transfer *completes*.
             pending: Vec<MemRequest>,
             /// Completion times of serviced transfers still occupying a
             /// queue slot.
@@ -293,7 +308,7 @@ impl Simulation {
             /// Earliest scheduled arbitration wake-up (event dedup).
             arb_at: Option<u64>,
         }
-        /// One L2 bank's MSHR state on the arbitrated path.
+        /// One L2 bank's MSHR state.
         struct BankState {
             /// Misses holding an MSHR whose transfer is not yet serviced.
             pending: usize,
@@ -302,7 +317,7 @@ impl Simulation {
             /// Threads NACKed on a full MSHR file with no resolved entry.
             retry: Vec<u32>,
         }
-        let inline = cfg.policy.is_fifo();
+        let fifo = cfg.policy.is_fifo();
         let mut policies: Vec<Box<dyn QueuePolicy>> = (0..cfg.n_controllers())
             .map(|_| cfg.policy.build())
             .collect();
@@ -361,13 +376,13 @@ impl Simulation {
             Barrier,
             /// Parked by the gang drift window (woken by gang progress).
             Drift,
-            /// Arbitrated path: parked on a full load/store budget whose
-            /// release time is unresolved; woken when one of the thread's
-            /// own requests is serviced.
+            /// Parked on a full load/store budget whose release time is
+            /// unresolved (arbitrated policies only); woken when one of
+            /// the thread's own requests is serviced.
             Data,
-            /// Arbitrated path: NACKed with no computable retry time;
-            /// parked on the controller's / bank's retry list and woken by
-            /// its next service.
+            /// NACKed with no computable retry time (arbitrated policies
+            /// only); parked on the controller's / bank's retry list and
+            /// woken by its next service.
             Retry,
         }
         struct ThreadState {
@@ -378,10 +393,10 @@ impl Simulation {
             loads: VecDeque<u64>,
             /// Completion times of in-flight store RFOs (buffer entries).
             stores: VecDeque<u64>,
-            /// Arbitrated path: issued load misses not yet serviced (their
-            /// completion times do not exist yet).
+            /// Issued load misses not yet serviced (their completion times
+            /// do not exist yet).
             loads_pending: usize,
-            /// Arbitrated path: issued store RFOs not yet serviced.
+            /// Issued store RFOs not yet serviced.
             stores_pending: usize,
             /// Latest completion over everything this thread issued.
             drain_until: u64,
@@ -483,16 +498,116 @@ impl Simulation {
             }};
         }
 
-        // Arbitrated-path admission: parks the request in the controller's
-        // pending queue and schedules arbitration for when both the request
-        // and the southbound channel can be ready.
+        // The service step: controller `mci` services `req`, reported at
+        // `now`; the channel starts at `now.max(req.arrival)`, which differs
+        // from `now` only for a remote write-back FIFO services at
+        // admission, before its line has crossed the link. The queue slot
+        // and, for a demand read or RFO, the MSHR and the owner's budget
+        // entry resolve to the transfer's completion.
+        macro_rules! service {
+            ($mci:expr, $req:expr, $now:expr) => {{
+                let mci: usize = $mci;
+                let req: MemRequest = $req;
+                let now: u64 = $now;
+                let start = now.max(req.arrival);
+                let out = if req.is_read() {
+                    mcs[mci].service_read(start)
+                } else {
+                    mcs[mci].service_write(start)
+                };
+                stats.mc_busy_cycles[mci] += out.busy_added;
+                mc_st[mci].inflight.push_back(out.completion);
+                probe.mc_service(
+                    mci,
+                    now,
+                    out.busy_added,
+                    mc_st[mci].pending.len() + mc_st[mci].inflight.len(),
+                    !req.is_read(),
+                );
+                if !fifo {
+                    // Every older request that was ready and passed over
+                    // counts one step toward its starvation cap.
+                    for p in mc_st[mci].pending.iter_mut() {
+                        if p.arrival <= now && p.id < req.id {
+                            p.bypassed = p.bypassed.saturating_add(1);
+                        }
+                    }
+                    policies[mci].on_service(&req);
+                    // The queue slot and MSHR free when this transfer
+                    // completes: that resolves the retry time for threads
+                    // NACKed while every occupant was unresolved (which
+                    // FIFO, resolving at admission, never has).
+                    let slot_free = out.completion.max(now + 1);
+                    let mut released = std::mem::take(&mut mc_st[mci].retry);
+                    if let Some(b) = req.bank {
+                        released.append(&mut bank_st[b].retry);
+                    }
+                    for w in released {
+                        probe.stall(w, StallKind::Nack, ts[w as usize].park_start, slot_free);
+                        ts[w as usize].wait = Wait::None;
+                        q.push(slot_free, Ev::Thread(w));
+                    }
+                }
+                if let (Some(b), Some(owner)) = (req.bank, req.tid) {
+                    // A demand read or RFO: the MSHR it holds resolves, and
+                    // so does the owner thread's wait time. A remote line
+                    // still has to cross the shared inter-socket link
+                    // (occupancy + remote latency adder) before the
+                    // owner's socket sees it.
+                    let completion =
+                        if numa_on && mc_st[mci].socket != core_socket[ts[owner as usize].core] {
+                            let ls = out.completion.max(link_busy);
+                            link_busy = ls + numa_link_cycles;
+                            link_busy + numa_read_extra
+                        } else {
+                            out.completion
+                        };
+                    bank_st[b].pending -= 1;
+                    bank_st[b].inflight.push_back(completion);
+                    let t = &mut ts[owner as usize];
+                    let ready = if req.class == ReqClass::StoreRfo {
+                        t.stores_pending -= 1;
+                        t.stores.push_back(completion);
+                        completion
+                    } else {
+                        t.loads_pending -= 1;
+                        let data_ready = completion + cfg.mem.extra_latency;
+                        t.loads.push_back(data_ready);
+                        data_ready
+                    };
+                    t.drain_until = t.drain_until.max(ready);
+                    if t.finished {
+                        // The owner ran off the end of its program with
+                        // this request still in flight: extend the drain.
+                        stats.end_cycle = stats.end_cycle.max(t.drain_until);
+                    } else if t.wait == Wait::Data {
+                        let kind = t.park_kind;
+                        let start = t.park_start;
+                        t.wait = Wait::None;
+                        probe.stall(owner, kind, start, ready);
+                        q.push(ready, Ev::Thread(owner));
+                    }
+                }
+            }};
+        }
+
+        // Admission of `req`, which left its L2 bank at `now`. FIFO's
+        // service order can never depend on later arrivals, so FIFO
+        // services the request on the spot and never schedules a
+        // controller event. Arbitrated policies park it in the
+        // controller's pending queue and schedule arbitration for when
+        // both the request and the southbound channel can be ready.
         macro_rules! admit {
-            ($mci:expr, $req:expr) => {{
+            ($mci:expr, $req:expr, $now:expr) => {{
                 let mci = $mci;
                 let req: MemRequest = $req;
-                let at = req.arrival.max(mcs[mci].south_busy);
-                mc_st[mci].pending.push(req);
-                sched_arb!(mci, at);
+                if fifo {
+                    service!(mci, req, $now);
+                } else {
+                    let at = req.arrival.max(mcs[mci].south_busy);
+                    mc_st[mci].pending.push(req);
+                    sched_arb!(mci, at);
+                }
             }};
         }
 
@@ -547,7 +662,7 @@ impl Simulation {
                         sched_arb!(mci, at);
                         continue;
                     }
-                    // One service slot: the policy picks, the channel model
+                    // One service slot: the policy picks, the service step
                     // resolves the completion time.
                     let sel = policies[mci].select(&elig_req, now);
                     assert!(
@@ -557,92 +672,7 @@ impl Simulation {
                         elig_req.len()
                     );
                     let req = mc_st[mci].pending.swap_remove(elig_idx[sel]);
-                    let out = match req.class {
-                        ReqClass::Writeback => mcs[mci].service_write(now),
-                        ReqClass::DemandRead | ReqClass::StoreRfo => mcs[mci].service_read(now),
-                    };
-                    stats.mc_busy_cycles[mci] += out.busy_added;
-                    {
-                        let st = &mut mc_st[mci];
-                        st.inflight.push_back(out.completion);
-                        // Every older request that was ready and passed
-                        // over counts one step toward its starvation cap.
-                        for p in st.pending.iter_mut() {
-                            if p.arrival <= now && p.id < req.id {
-                                p.bypassed = p.bypassed.saturating_add(1);
-                            }
-                        }
-                    }
-                    policies[mci].on_service(&req);
-                    probe.mc_service(
-                        mci,
-                        now,
-                        out.busy_added,
-                        mc_st[mci].pending.len() + mc_st[mci].inflight.len(),
-                        matches!(req.class, ReqClass::Writeback),
-                    );
-                    // A queue slot frees when this transfer completes: that
-                    // resolves the retry time for threads NACKed while all
-                    // occupants were unresolved.
-                    let slot_free = out.completion.max(now + 1);
-                    for w in std::mem::take(&mut mc_st[mci].retry) {
-                        probe.stall(w, StallKind::Nack, ts[w as usize].park_start, slot_free);
-                        ts[w as usize].wait = Wait::None;
-                        q.push(slot_free, Ev::Thread(w));
-                    }
-                    if let (Some(b), Some(owner)) = (req.bank, req.tid) {
-                        // A demand read or RFO: the MSHR it holds resolves,
-                        // and so does the owner thread's wait time. A remote
-                        // line still has to cross the shared inter-socket
-                        // link (occupancy + remote latency adder) before the
-                        // owner's socket sees it.
-                        let completion = if numa_on
-                            && mc_st[mci].socket != core_socket[ts[owner as usize].core]
-                        {
-                            let ls = out.completion.max(link_busy);
-                            link_busy = ls + numa_link_cycles;
-                            link_busy + numa_read_extra
-                        } else {
-                            out.completion
-                        };
-                        {
-                            let bs = &mut bank_st[b];
-                            bs.pending -= 1;
-                            bs.inflight.push_back(completion);
-                        }
-                        for w in std::mem::take(&mut bank_st[b].retry) {
-                            probe.stall(w, StallKind::Nack, ts[w as usize].park_start, slot_free);
-                            ts[w as usize].wait = Wait::None;
-                            q.push(slot_free, Ev::Thread(w));
-                        }
-                        let oi = owner as usize;
-                        let t = &mut ts[oi];
-                        let ready = match req.class {
-                            ReqClass::StoreRfo => {
-                                t.stores_pending -= 1;
-                                t.stores.push_back(completion);
-                                completion
-                            }
-                            _ => {
-                                t.loads_pending -= 1;
-                                let data_ready = completion + cfg.mem.extra_latency;
-                                t.loads.push_back(data_ready);
-                                data_ready
-                            }
-                        };
-                        t.drain_until = t.drain_until.max(ready);
-                        if t.finished {
-                            // The owner ran off the end of its program with
-                            // this request still in flight: extend the drain.
-                            stats.end_cycle = stats.end_cycle.max(t.drain_until);
-                        } else if t.wait == Wait::Data {
-                            let kind = t.park_kind;
-                            let start = t.park_start;
-                            t.wait = Wait::None;
-                            probe.stall(owner, kind, start, ready);
-                            q.push(ready, Ev::Thread(owner));
-                        }
-                    }
+                    service!(mci, req, now);
                     if !mc_st[mci].pending.is_empty() {
                         let south = mcs[mci].south_busy;
                         let min_arr = mc_st[mci]
@@ -739,241 +769,40 @@ impl Simulation {
                             continue;
                         }
                     }
-                    if !inline {
-                        // ===== Arbitrated (policy) path =====
-                        // Budget checks: in-flight completion times may be
-                        // unresolved (still awaiting arbitration), so the
-                        // wake-up is only known when a resolved entry
-                        // exists; otherwise park until one of this
-                        // thread's requests is serviced.
-                        if !is_write {
-                            let t = &mut ts[tid as usize];
-                            retain_future(&mut t.loads, now);
-                            if t.loads.len() + t.loads_pending >= outstanding_limit {
-                                t.pending = Some(op);
-                                if let Some(&wake) = t.loads.iter().min() {
-                                    probe.stall(tid, StallKind::LoadMiss, now, wake);
-                                    q.push(wake, Ev::Thread(tid));
-                                } else {
-                                    t.wait = Wait::Data;
-                                    t.park_kind = StallKind::LoadMiss;
-                                    t.park_start = now;
-                                }
-                                continue;
-                            }
-                        } else {
-                            let t = &mut ts[tid as usize];
-                            retain_future(&mut t.stores, now);
-                            if t.stores.len() + t.stores_pending >= store_buffer {
-                                t.pending = Some(op);
-                                if let Some(&wake) = t.stores.iter().min() {
-                                    probe.stall(tid, StallKind::StoreBuffer, now, wake);
-                                    q.push(wake, Ev::Thread(tid));
-                                } else {
-                                    t.wait = Wait::Data;
-                                    t.park_kind = StallKind::StoreBuffer;
-                                    t.park_start = now;
-                                }
-                                continue;
-                            }
-                        }
-                        // Memory-pipe issue slot.
-                        let (pipe_idx, &pipe_free) = pipes[core]
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, &b)| b)
-                            .expect("mem_pipes > 0");
-                        if pipe_free > now {
-                            ts[tid as usize].pending = Some(op);
-                            probe.stall(tid, StallKind::Pipe, now, pipe_free);
-                            q.push(pipe_free, Ev::Thread(tid));
-                            continue;
-                        }
-                        let bank = cfg.map.bank(addr) as usize;
-                        let raw_mc = cfg.map.controller(addr) as usize;
-                        let my_sock = core_socket[core];
-                        // NUMA controller remap, as on the FIFO fast path.
-                        // The remote link/latency charge happens at service
-                        // time in the arbitration step, where the completion
-                        // is resolved.
-                        let mc = if numa_on {
-                            let home = homes.home(addr, my_sock);
-                            home as usize * mps + raw_mc % mps
-                        } else {
-                            raw_mc
-                        };
-                        if !cache.contains(addr) {
-                            retain_future(&mut mc_st[mc].inflight, now);
-                            retain_future(&mut bank_st[bank].inflight, now);
-                            let mc_full =
-                                mc_st[mc].pending.len() + mc_st[mc].inflight.len() >= queue_depth;
-                            let bank_full = bank_st[bank].pending + bank_st[bank].inflight.len()
-                                >= mshr_per_bank;
-                            if mc_full || bank_full {
-                                stats.nacks += 1;
-                                ts[tid as usize].pending = Some(op);
-                                pipes[core][pipe_idx] = now + 2;
-                                probe.nack(now, tid, mc, bank, mc_full);
-                                // The earliest slot release is the earliest
-                                // *resolved* completion; when every occupant
-                                // still awaits arbitration the time is
-                                // unknowable — park until the next service.
-                                let known = if mc_full {
-                                    mc_st[mc].inflight.iter().min().copied()
-                                } else {
-                                    bank_st[bank].inflight.iter().min().copied()
-                                };
-                                match known {
-                                    Some(wake) => {
-                                        let retry_at = wake.max(now + 1);
-                                        probe.stall(tid, StallKind::Nack, now, retry_at);
-                                        q.push(retry_at, Ev::Thread(tid));
-                                    }
-                                    None => {
-                                        let t = &mut ts[tid as usize];
-                                        t.wait = Wait::Retry;
-                                        t.park_kind = StallKind::Nack;
-                                        t.park_start = now;
-                                        if mc_full {
-                                            mc_st[mc].retry.push(tid);
-                                        } else {
-                                            bank_st[bank].retry.push(tid);
-                                        }
-                                    }
-                                }
-                                continue;
-                            }
-                        }
-                        pipes[core][pipe_idx] = now + 1;
-                        // L2 bank access.
-                        let bank_start = (now + 1).max(bank_busy[bank]);
-                        bank_busy[bank] = bank_start + cfg.l2.bank_cycles;
-                        stats.bank_accesses[bank] += 1;
-                        stats.mem_ops += 1;
-                        probe.bank_access(bank, bank_start);
-                        let old_count = gang_count[tid as usize];
-                        gang_count[tid as usize] += 1;
-                        if old_count == gang_min {
-                            gang_update!(now);
-                        }
-                        let bank_done = bank_start + cfg.l2.bank_cycles;
-                        match cache.access(addr, is_write) {
-                            Access::Hit => {
-                                stats.l2_hits += 1;
-                                let resume = if is_write {
-                                    bank_done
-                                } else {
-                                    bank_start + cfg.l2.hit_latency
-                                };
-                                q.push(resume, Ev::Thread(tid));
-                            }
-                            Access::Miss { writeback } => {
-                                stats.l2_misses += 1;
-                                if let Some(victim) = writeback {
-                                    let vraw = cfg.map.controller(victim) as usize;
-                                    let (vmc, varrive) = if numa_on {
-                                        let vh = homes.home(victim, my_sock);
-                                        let arr = if vh != my_sock {
-                                            let ls = bank_done.max(link_busy);
-                                            link_busy = ls + numa_link_cycles;
-                                            link_busy + numa_write_extra
-                                        } else {
-                                            bank_done
-                                        };
-                                        (vh as usize * mps + vraw % mps, arr)
-                                    } else {
-                                        (vraw, bank_done)
-                                    };
-                                    stats.mc_write_bytes[vmc] += line_bytes;
-                                    stats.l2_writebacks += 1;
-                                    next_req += 1;
-                                    admit!(
-                                        vmc,
-                                        MemRequest {
-                                            id: next_req,
-                                            arrival: varrive,
-                                            addr: victim,
-                                            class: ReqClass::Writeback,
-                                            tid: None,
-                                            bank: None,
-                                            bypassed: 0,
-                                        }
-                                    );
-                                }
-                                stats.mc_read_bytes[mc] += line_bytes;
-                                next_req += 1;
-                                admit!(
-                                    mc,
-                                    MemRequest {
-                                        id: next_req,
-                                        arrival: bank_done,
-                                        addr,
-                                        class: if is_write {
-                                            ReqClass::StoreRfo
-                                        } else {
-                                            ReqClass::DemandRead
-                                        },
-                                        tid: Some(tid),
-                                        bank: Some(bank),
-                                        bypassed: 0,
-                                    }
-                                );
-                                bank_st[bank].pending += 1;
-                                let t = &mut ts[tid as usize];
-                                if is_write {
-                                    // Store miss: the RFO drains from the
-                                    // store buffer; the thread moves on.
-                                    t.stores_pending += 1;
-                                    q.push(bank_done, Ev::Thread(tid));
-                                } else {
-                                    t.loads_pending += 1;
-                                    if t.loads.len() + t.loads_pending >= outstanding_limit {
-                                        // Budget full (the T2 case): block
-                                        // until data returns — a time that
-                                        // exists only after arbitration.
-                                        if let Some(&wake) = t.loads.iter().min() {
-                                            probe.stall(tid, StallKind::LoadMiss, bank_done, wake);
-                                            q.push(wake, Ev::Thread(tid));
-                                        } else {
-                                            t.wait = Wait::Data;
-                                            t.park_kind = StallKind::LoadMiss;
-                                            t.park_start = bank_done;
-                                        }
-                                    } else {
-                                        // Hit-under-miss headroom.
-                                        q.push(bank_done, Ev::Thread(tid));
-                                    }
-                                }
-                            }
-                        }
-                        continue;
-                    }
-                    // ===== Historical FIFO fast path =====
-                    // Kept statement-for-statement: completion times are
-                    // resolved at admission, no controller events exist, and
-                    // `tests/policy_differential.rs` pins the statistics
-                    // bitwise against a pre-policy capture.
-                    // Loads: outstanding-miss budget; wait for the oldest
-                    // miss to land.
+                    // Budget check: a load needs an outstanding-miss slot, a
+                    // store a TSO store-buffer entry. When the budget is
+                    // full the thread waits for the next entry to complete;
+                    // if no entry is serviced yet (arbitrated policies) that
+                    // time is unknowable, so it parks until one of its own
+                    // requests is serviced.
                     if !is_write {
                         let t = &mut ts[tid as usize];
-                        prune(&mut t.loads, now);
-                        if t.loads.len() >= outstanding_limit {
-                            let wake = *t.loads.front().unwrap();
+                        drop_completed(fifo, &mut t.loads, now);
+                        if t.loads.len() + t.loads_pending >= outstanding_limit {
                             t.pending = Some(op);
-                            probe.stall(tid, StallKind::LoadMiss, now, wake);
-                            q.push(wake, Ev::Thread(tid));
+                            if let Some(wake) = slot_frees_at(fifo, &t.loads, outstanding_limit) {
+                                probe.stall(tid, StallKind::LoadMiss, now, wake);
+                                q.push(wake, Ev::Thread(tid));
+                            } else {
+                                t.wait = Wait::Data;
+                                t.park_kind = StallKind::LoadMiss;
+                                t.park_start = now;
+                            }
                             continue;
                         }
                     } else {
-                        // Stores: TSO store buffer; wait for the oldest RFO.
                         let t = &mut ts[tid as usize];
-                        prune(&mut t.stores, now);
-                        if t.stores.len() >= store_buffer {
-                            let wake = *t.stores.front().unwrap();
+                        drop_completed(fifo, &mut t.stores, now);
+                        if t.stores.len() + t.stores_pending >= store_buffer {
                             t.pending = Some(op);
-                            probe.stall(tid, StallKind::StoreBuffer, now, wake);
-                            q.push(wake, Ev::Thread(tid));
+                            if let Some(wake) = slot_frees_at(fifo, &t.stores, store_buffer) {
+                                probe.stall(tid, StallKind::StoreBuffer, now, wake);
+                                q.push(wake, Ev::Thread(tid));
+                            } else {
+                                t.wait = Wait::Data;
+                                t.park_kind = StallKind::StoreBuffer;
+                                t.park_start = now;
+                            }
                             continue;
                         }
                     }
@@ -989,41 +818,57 @@ impl Simulation {
                         q.push(pipe_free, Ev::Thread(tid));
                         continue;
                     }
-                    // NACK checks: a miss needs a controller-queue slot and
-                    // a bank miss buffer; if either is full the request is
-                    // rejected and retried when the blocking entry
-                    // completes. The probe occupies the pipe like any other
-                    // access.
                     let bank = cfg.map.bank(addr) as usize;
                     let raw_mc = cfg.map.controller(addr) as usize;
                     let my_sock = core_socket[core];
                     // NUMA: the page's home socket selects the controller
                     // group; the raw mapping selects the controller within
-                    // it. Remote iff the home is not the issuer's socket.
-                    let (mc, remote) = if numa_on {
-                        let home = homes.home(addr, my_sock);
-                        (home as usize * mps + raw_mc % mps, home != my_sock)
+                    // it. The remote link and latency are charged by the
+                    // service step, where the completion is resolved.
+                    let mc = if numa_on {
+                        homes.home(addr, my_sock) as usize * mps + raw_mc % mps
                     } else {
-                        (raw_mc, false)
+                        raw_mc
                     };
+                    // NACK checks: a miss needs a controller-queue slot and
+                    // a bank miss buffer; if either is full the request is
+                    // rejected and retried when the blocking entry
+                    // completes. The probe occupies the pipe like any other
+                    // access.
                     if !cache.contains(addr) {
-                        prune(&mut mc_admitted[mc], now);
-                        prune(&mut bank_inflight[bank], now);
-                        let mc_full = mc_admitted[mc].len() >= queue_depth;
-                        let bank_full = bank_inflight[bank].len() >= mshr_per_bank;
+                        let (ms, bs) = (&mut mc_st[mc], &mut bank_st[bank]);
+                        drop_completed(fifo, &mut ms.inflight, now);
+                        drop_completed(fifo, &mut bs.inflight, now);
+                        let mc_full = ms.pending.len() + ms.inflight.len() >= queue_depth;
+                        let bank_full = bs.pending + bs.inflight.len() >= mshr_per_bank;
                         if mc_full || bank_full {
                             stats.nacks += 1;
-                            let wake = if mc_full {
-                                mc_admitted[mc][mc_admitted[mc].len() - queue_depth]
-                            } else {
-                                bank_inflight[bank][bank_inflight[bank].len() - mshr_per_bank]
-                            };
                             ts[tid as usize].pending = Some(op);
                             pipes[core][pipe_idx] = now + 2;
-                            let retry_at = wake.max(now + 1);
                             probe.nack(now, tid, mc, bank, mc_full);
-                            probe.stall(tid, StallKind::Nack, now, retry_at);
-                            q.push(retry_at, Ev::Thread(tid));
+                            let known = if mc_full {
+                                slot_frees_at(fifo, &ms.inflight, queue_depth)
+                            } else {
+                                slot_frees_at(fifo, &bs.inflight, mshr_per_bank)
+                            };
+                            match known {
+                                Some(wake) => {
+                                    let retry_at = wake.max(now + 1);
+                                    probe.stall(tid, StallKind::Nack, now, retry_at);
+                                    q.push(retry_at, Ev::Thread(tid));
+                                }
+                                None => {
+                                    let t = &mut ts[tid as usize];
+                                    t.wait = Wait::Retry;
+                                    t.park_kind = StallKind::Nack;
+                                    t.park_start = now;
+                                    if mc_full {
+                                        ms.retry.push(tid);
+                                    } else {
+                                        bs.retry.push(tid);
+                                    }
+                                }
+                            }
                             continue;
                         }
                     }
@@ -1076,64 +921,71 @@ impl Simulation {
                                 } else {
                                     (vraw, bank_done)
                                 };
-                                let out = mcs[vmc].service_write(varrive);
                                 stats.mc_write_bytes[vmc] += line_bytes;
-                                stats.mc_busy_cycles[vmc] += out.busy_added;
                                 stats.l2_writebacks += 1;
-                                mc_admitted[vmc].push_back(out.completion);
-                                probe.mc_service(
+                                next_req += 1;
+                                admit!(
                                     vmc,
-                                    bank_done,
-                                    out.busy_added,
-                                    mc_admitted[vmc].len(),
-                                    true,
+                                    MemRequest {
+                                        id: next_req,
+                                        arrival: varrive,
+                                        addr: victim,
+                                        class: ReqClass::Writeback,
+                                        tid: None,
+                                        bank: None,
+                                        bypassed: 0,
+                                    },
+                                    bank_done
                                 );
                             }
-                            let out = mcs[mc].service_read(bank_done);
-                            // The controller's queue slot frees at its own
-                            // completion; a *remote* line additionally
-                            // crosses the shared link (occupancy) and pays
-                            // the remote latency adder before the issuing
-                            // socket sees it.
-                            let completion = if remote {
-                                let ls = out.completion.max(link_busy);
-                                link_busy = ls + numa_link_cycles;
-                                link_busy + numa_read_extra
-                            } else {
-                                out.completion
-                            };
+                            // The miss holds an MSHR and a budget entry
+                            // until the service step resolves it.
                             stats.mc_read_bytes[mc] += line_bytes;
-                            stats.mc_busy_cycles[mc] += out.busy_added;
-                            mc_admitted[mc].push_back(out.completion);
-                            bank_inflight[bank].push_back(completion);
-                            probe.mc_service(
+                            bank_st[bank].pending += 1;
+                            if is_write {
+                                ts[tid as usize].stores_pending += 1;
+                            } else {
+                                ts[tid as usize].loads_pending += 1;
+                            }
+                            next_req += 1;
+                            admit!(
                                 mc,
-                                bank_done,
-                                out.busy_added,
-                                mc_admitted[mc].len(),
-                                false,
+                                MemRequest {
+                                    id: next_req,
+                                    arrival: bank_done,
+                                    addr,
+                                    class: if is_write {
+                                        ReqClass::StoreRfo
+                                    } else {
+                                        ReqClass::DemandRead
+                                    },
+                                    tid: Some(tid),
+                                    bank: Some(bank),
+                                    bypassed: 0,
+                                },
+                                bank_done
                             );
                             let t = &mut ts[tid as usize];
-                            if is_write {
-                                // Store miss: the RFO drains from the store
-                                // buffer; the thread is not blocked.
-                                t.stores.push_back(completion);
-                                t.drain_until = t.drain_until.max(completion);
-                                q.push(bank_done, Ev::Thread(tid));
-                            } else {
-                                let data_ready = completion + cfg.mem.extra_latency;
-                                t.loads.push_back(data_ready);
-                                t.drain_until = t.drain_until.max(data_ready);
-                                if t.loads.len() >= outstanding_limit {
-                                    // Budget full (the T2 case): block until
-                                    // the data returns.
-                                    let wake = *t.loads.front().unwrap();
-                                    probe.stall(tid, StallKind::LoadMiss, bank_done, wake);
-                                    q.push(wake, Ev::Thread(tid));
-                                } else {
-                                    // Hit-under-miss headroom (ablations).
-                                    q.push(bank_done, Ev::Thread(tid));
+                            if !is_write && t.loads.len() + t.loads_pending >= outstanding_limit {
+                                // Budget full (the T2 case): block until the
+                                // data returns.
+                                match slot_frees_at(fifo, &t.loads, outstanding_limit) {
+                                    Some(wake) => {
+                                        probe.stall(tid, StallKind::LoadMiss, bank_done, wake);
+                                        q.push(wake, Ev::Thread(tid));
+                                    }
+                                    None => {
+                                        t.wait = Wait::Data;
+                                        t.park_kind = StallKind::LoadMiss;
+                                        t.park_start = bank_done;
+                                    }
                                 }
+                            } else {
+                                // A store miss's RFO drains from the store
+                                // buffer, so the thread moves on; so does a
+                                // load with hit-under-miss headroom
+                                // (ablations).
+                                q.push(bank_done, Ev::Thread(tid));
                             }
                         }
                     }
@@ -1145,8 +997,7 @@ impl Simulation {
             live, 0,
             "deadlock: {live} thread(s) never finished (barrier mismatch?)"
         );
-        // Request conservation (arbitrated path; trivially empty on the
-        // FIFO fast path): every admitted request was serviced exactly
+        // Request conservation: every admitted request was serviced exactly
         // once, every MSHR released, every parked thread released.
         for (i, st) in mc_st.iter().enumerate() {
             assert!(
@@ -1645,14 +1496,15 @@ mod tests {
 
     #[test]
     fn arbitrated_fifo_semantics_stay_close_to_the_inline_path() {
-        // The inline FIFO path and the event-driven arbitration machinery
-        // are different implementations of *nearly* the same discipline
-        // (arbitration re-decides at service time, FIFO commits at
-        // admission, and jitter draws land in a different order), so exact
-        // equality is not expected — but a FIFO-like arbitrated policy with
-        // an immediate starvation cap must land within a few percent on the
-        // macroscopic observables. A large gap would mean the deferred
-        // machinery models a different machine, not a different policy.
+        // FIFO's service at admission and a FIFO-like arbitrated policy
+        // share the service step but not its timing (arbitration re-decides
+        // when the channel frees, FIFO commits at admission, completed
+        // entries leave the lists differently, and jitter draws land in a
+        // different order), so exact equality is not expected — but
+        // read-first with an immediate starvation cap must land within
+        // 0.8–1.25× of FIFO's cycles on a spread triad. A larger gap would
+        // mean the arbitration events model a different machine, not a
+        // different policy.
         let fifo = triad_run([0, 128, 256]);
         let arb = triad_run_with(
             [0, 128, 256],

@@ -16,10 +16,10 @@
 //! §13).
 //!
 //! FIFO remains the pinned default, and it is special: because its
-//! decision can never depend on later arrivals, the arbitration step
-//! collapses into the admission path and the engine keeps the historical
-//! inline fast path — bitwise-identical `SimStats`, enforced by
-//! `tests/policy_differential.rs` against a pre-refactor capture.
+//! decision can never depend on later arrivals, the engine runs the
+//! shared service step at admission instead of from an arbitration event
+//! ([`PolicyKind::is_fifo`] is the one switch). Its `SimStats` and probe
+//! stream are held bitwise by `tests/policy_differential.rs`.
 //!
 //! # Determinism contract
 //!
@@ -115,14 +115,6 @@ pub trait QueuePolicy {
     /// Human-readable policy name (CLI/JSON label).
     fn name(&self) -> &'static str;
 
-    /// FIFO's defining property: the service decision for a request can
-    /// never depend on requests that arrive after it. When `true`, the
-    /// engine resolves completion times at admission (the historical
-    /// inline path) and never schedules controller arbitration events.
-    fn commits_at_admission(&self) -> bool {
-        false
-    }
-
     /// Picks the index (into `pending`) of the next request to service.
     /// `pending` is non-empty and every element has `arrival <= now`.
     fn select(&mut self, pending: &[MemRequest], now: u64) -> usize;
@@ -151,10 +143,6 @@ pub struct FifoPolicy;
 impl QueuePolicy for FifoPolicy {
     fn name(&self) -> &'static str {
         "fifo"
-    }
-
-    fn commits_at_admission(&self) -> bool {
-        true
     }
 
     fn select(&mut self, pending: &[MemRequest], _now: u64) -> usize {
@@ -272,7 +260,8 @@ pub enum PolicyKind {
 pub const POLICY_NAMES: &[&str] = &["fifo", "read-first", "fr-fcfs"];
 
 impl PolicyKind {
-    /// Whether this is the FIFO discipline (inline admission-time service).
+    /// Whether this is the FIFO discipline, which the engine services at
+    /// admission and never arbitrates.
     pub fn is_fifo(&self) -> bool {
         matches!(self, PolicyKind::Fifo)
     }
@@ -361,7 +350,6 @@ mod tests {
             req(9, ReqClass::StoreRfo, 128),
         ];
         assert_eq!(p.select(&pending, 100), 1);
-        assert!(p.commits_at_admission());
     }
 
     #[test]
@@ -416,7 +404,6 @@ mod tests {
             let kind = PolicyKind::parse(name).expect("registry name parses");
             assert_eq!(kind.name(), *name);
             assert_eq!(kind.build().name(), *name);
-            assert_eq!(kind.is_fifo(), kind.build().commits_at_admission());
         }
         assert!(PolicyKind::default().is_fifo());
     }

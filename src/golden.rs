@@ -31,16 +31,27 @@
 //! sizes, against `tests/golden/engine_paths.json`: a capture of the
 //! engine as it was before its event queue became a calendar queue, which
 //! must pop exactly the old binary heap's order.
+//!
+//! `SimStats` do not see *when* the engine reports a stall, a NACK or a
+//! controller service. [`run_probe_digests`] runs every case of both
+//! matrices once more with a probe that folds each hook call and its
+//! arguments into one 64-bit value, and pins the result
+//! against `tests/golden/probe_digests.json`: a capture of the engine as it
+//! was before its FIFO and arbitrated controllers shared one service step.
 
+use std::collections::BTreeMap;
 use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
 use t2opt_core::json::JsonValue;
 use t2opt_core::mapping::PagePlacement;
+use t2opt_kernels::common::place_threads;
 use t2opt_kernels::stream::{self, StreamConfig, StreamKernel};
 use t2opt_kernels::triad::{self, TriadConfig, TriadLayout};
 use t2opt_parallel::Placement;
 use t2opt_sim::policy::PolicyKind;
+use t2opt_sim::telemetry::probe::{SimProbe, StallKind};
+use t2opt_sim::telemetry::timeline::TraceConfig;
 use t2opt_sim::trace::{Op, Program};
-use t2opt_sim::{ChipConfig, SimStats, Simulation};
+use t2opt_sim::{ChipConfig, SimStats, Simulation, ThreadSpec};
 
 /// Where the committed pre-refactor capture lives, relative to the
 /// workspace root.
@@ -49,6 +60,10 @@ pub const GOLDEN_PATH: &str = "tests/golden/policy_fifo.json";
 /// Where the committed engine-paths capture lives, relative to the
 /// workspace root.
 pub const ENGINE_PATHS_GOLDEN_PATH: &str = "tests/golden/engine_paths.json";
+
+/// Where the committed probe-stream digests live, relative to the
+/// workspace root.
+pub const PROBE_DIGESTS_GOLDEN_PATH: &str = "tests/golden/probe_digests.json";
 
 /// Serialized envelope of one matrix capture.
 #[derive(serde::Serialize)]
@@ -64,6 +79,120 @@ pub struct GoldenCase {
     pub name: String,
     /// The statistics the FIFO engine produced for it.
     pub stats: SimStats,
+}
+
+/// Serialized envelope of the probe-digest capture.
+#[derive(serde::Serialize)]
+pub struct DigestFile {
+    /// Every case of both matrices, in matrix order.
+    pub cases: Vec<DigestCase>,
+}
+
+/// One case's probe-stream digest.
+#[derive(serde::Serialize)]
+pub struct DigestCase {
+    /// The case name, as in the matrix it comes from.
+    pub name: String,
+    /// The probe-stream digest as 16 hex digits: a JSON number could not
+    /// hold all 64 bits.
+    pub digest: String,
+}
+
+/// A [`SimProbe`] that folds every hook call and its arguments, in call
+/// order, into a 64-bit digest. Two runs agree on it only if the engine
+/// reported the same controller services, bank accesses, NACKs, stalls,
+/// barrier releases and window resets, with the same cycles, in the same
+/// order.
+#[derive(Debug, Default)]
+struct ProbeDigest(u64);
+
+impl ProbeDigest {
+    /// The digest of every call so far.
+    fn digest(&self) -> u64 {
+        self.0
+    }
+
+    /// Folds one call: a hook tag, then its arguments. Each word passes
+    /// through the splitmix64 finalizer, so a change in any bit of any
+    /// argument, or in the order of two calls, moves the whole digest.
+    fn fold(&mut self, words: &[u64]) {
+        for &w in words {
+            let mut z = (self.0 ^ w).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            self.0 = z ^ (z >> 31);
+        }
+    }
+}
+
+impl SimProbe for ProbeDigest {
+    fn mc_service(
+        &mut self,
+        mc: usize,
+        at: u64,
+        busy_added: u64,
+        queue_len: usize,
+        is_write: bool,
+    ) {
+        self.fold(&[
+            1,
+            mc as u64,
+            at,
+            busy_added,
+            queue_len as u64,
+            is_write as u64,
+        ]);
+    }
+
+    fn bank_access(&mut self, bank: usize, at: u64) {
+        self.fold(&[2, bank as u64, at]);
+    }
+
+    fn nack(&mut self, at: u64, tid: u32, mc: usize, bank: usize, mc_full: bool) {
+        self.fold(&[3, at, tid as u64, mc as u64, bank as u64, mc_full as u64]);
+    }
+
+    fn stall(&mut self, tid: u32, kind: StallKind, from: u64, until: u64) {
+        self.fold(&[4, tid as u64, kind as u64, from, until]);
+    }
+
+    fn barrier_release(&mut self, id: u32, at: u64) {
+        self.fold(&[5, id as u64, at]);
+    }
+
+    fn window_reset(&mut self, at: u64) {
+        self.fold(&[6, at]);
+    }
+}
+
+/// One matrix case, ready to run: a configured simulation and its threads.
+struct Case {
+    name: String,
+    sim: Simulation,
+    threads: Vec<ThreadSpec>,
+    /// Collect the statistics through the `Timeline` recorder (the probe
+    /// path) instead of the uninstrumented entry point.
+    traced: bool,
+}
+
+impl Case {
+    /// The case's statistics.
+    fn stats(self) -> (String, SimStats) {
+        let stats = if self.traced {
+            let trace = TraceConfig::with_interval(4096);
+            self.sim.run_traced(self.threads, &trace).0
+        } else {
+            self.sim.run(self.threads)
+        };
+        (self.name, stats)
+    }
+
+    /// The digest of the case's probe stream.
+    fn probe_digest(self) -> (String, u64) {
+        let mut probe = ProbeDigest::default();
+        self.sim.run_with_probe(self.threads, &mut probe);
+        (self.name, probe.digest())
+    }
 }
 
 /// The preset config with the L2 shrunk to 256 KiB (see module docs).
@@ -91,15 +220,17 @@ fn matrix_threads(chip: &ChipConfig) -> usize {
     chip.max_threads().min(16)
 }
 
-/// One N = 2^15 STREAM run of `kernel` at `offset` words, scattered.
-fn stream_stats(chip: &ChipConfig, kernel: StreamKernel, offset: usize) -> SimStats {
-    stream::run_sim(
-        &StreamConfig::fig2(1 << 15, offset, matrix_threads(chip)),
-        kernel,
-        chip,
-        &scatter(chip),
-    )
-    .stats
+/// One N = 2^15 STREAM run of `kernel` at `offset` words, scattered,
+/// measured after the warm-up sweep as `stream::run_sim` does.
+fn stream_case(name: String, chip: &ChipConfig, kernel: StreamKernel, offset: usize) -> Case {
+    let cfg = StreamConfig::fig2(1 << 15, offset, matrix_threads(chip));
+    let programs = stream::build_trace(&cfg, kernel, chip);
+    Case {
+        name,
+        sim: Simulation::new(chip.clone()).measure_after_barrier(0),
+        threads: place_threads(programs, &scatter(chip), chip.core.n_cores),
+        traced: false,
+    }
 }
 
 /// The three STREAM regimes of both matrices: read-heavy fully aliased
@@ -111,8 +242,8 @@ const STREAM_CASES: [(&str, StreamKernel, usize); 3] = [
     ("copy-8", StreamKernel::Copy, 8),
 ];
 
-/// Runs the full matrix and returns `(name, stats)` per case.
-pub fn run_matrix() -> Vec<(String, SimStats)> {
+/// The FIFO matrix's cases, in matrix order.
+fn fifo_cases() -> Vec<Case> {
     let mut out = Vec::new();
     for preset in PRESET_NAMES {
         // The golden file is a *pre-NUMA* capture: it pins the single-socket
@@ -123,24 +254,27 @@ pub fn run_matrix() -> Vec<(String, SimStats)> {
             continue;
         }
         let chip = shrunk(preset);
-        let threads = matrix_threads(&chip);
         for (label, kernel, offset) in STREAM_CASES {
-            out.push((
+            out.push(stream_case(
                 format!("{preset}/{label}"),
-                stream_stats(&chip, kernel, offset),
+                &chip,
+                kernel,
+                offset,
             ));
         }
         // The probe path: a traced run must produce the same statistics.
-        let (traced, _) = stream::run_sim_traced(
-            &StreamConfig::fig2(1 << 15, 0, threads),
-            StreamKernel::Triad,
-            &chip,
-            &scatter(&chip),
-            4096,
-        );
-        out.push((format!("{preset}/triad-aliased-traced"), traced.stats));
+        out.push(Case {
+            traced: true,
+            ..stream_case(
+                format!("{preset}/triad-aliased-traced"),
+                &chip,
+                StreamKernel::Triad,
+                0,
+            )
+        });
     }
-    // Stock calibrated T2 at full thread count: the Fig. 4 layout extremes.
+    // Stock calibrated T2 at full thread count: the Fig. 4 layout extremes,
+    // measured after the warm-up sweep as `triad::run_sim` does.
     let chip = ChipConfig::ultrasparc_t2();
     for (label, layout) in [
         ("align8k", TriadLayout::Align8k),
@@ -152,12 +286,20 @@ pub fn run_matrix() -> Vec<(String, SimStats)> {
             threads: 64,
             ntimes: 1,
         };
-        out.push((
-            format!("t2-stock/triad64-{label}"),
-            triad::run_sim(&cfg, &chip, &Placement::t2_scatter()).stats,
-        ));
+        let programs = triad::build_trace(&cfg, &chip);
+        out.push(Case {
+            name: format!("t2-stock/triad64-{label}"),
+            sim: Simulation::new(chip.clone()).measure_after_barrier(0),
+            threads: place_threads(programs, &Placement::t2_scatter(), chip.core.n_cores),
+            traced: false,
+        });
     }
     out
+}
+
+/// Runs the full matrix and returns `(name, stats)` per case.
+pub fn run_matrix() -> Vec<(String, SimStats)> {
+    fifo_cases().into_iter().map(Case::stats).collect()
 }
 
 /// Delays the overflow case's rounds open with, in cycles. Each lies far
@@ -209,7 +351,7 @@ fn delay_overflow_programs(threads: usize) -> Vec<Program> {
         .collect()
 }
 
-/// Runs the engine-paths matrix and returns `(name, stats)` per case:
+/// The engine-paths matrix's cases, in matrix order:
 ///
 /// * `read-first` and `fr-fcfs` on every single-socket preset × the three
 ///   STREAM regimes — the arbitrated controller path and its events;
@@ -217,16 +359,18 @@ fn delay_overflow_programs(threads: usize) -> Vec<Program> {
 ///   remap and the inter-socket link;
 /// * the overflow case ([`delay_overflow_programs`]) on the shrunk T2,
 ///   under FIFO and `read-first`.
-pub fn run_engine_paths_matrix() -> Vec<(String, SimStats)> {
+fn engine_paths_cases() -> Vec<Case> {
     let mut out = Vec::new();
     for preset in PRESET_NAMES.into_iter().filter(|p| !is_numa(p)) {
         for policy in ["read-first", "fr-fcfs"] {
             let mut chip = shrunk(preset);
             chip.policy = PolicyKind::parse(policy).expect("registered policy");
             for (label, kernel, offset) in STREAM_CASES {
-                out.push((
+                out.push(stream_case(
                     format!("{preset}/{policy}/{label}"),
-                    stream_stats(&chip, kernel, offset),
+                    &chip,
+                    kernel,
+                    offset,
                 ));
             }
         }
@@ -235,19 +379,45 @@ pub fn run_engine_paths_matrix() -> Vec<(String, SimStats)> {
         for placement in PagePlacement::ALL {
             let mut chip = shrunk(preset);
             chip.placement = placement;
-            out.push((
+            out.push(stream_case(
                 format!("{preset}/{}/triad-aliased", placement.label()),
-                stream_stats(&chip, StreamKernel::Triad, 0),
+                &chip,
+                StreamKernel::Triad,
+                0,
             ));
         }
     }
     for policy in ["fifo", "read-first"] {
         let mut chip = shrunk("ultrasparc-t2");
         chip.policy = PolicyKind::parse(policy).expect("registered policy");
-        let stats = Simulation::new(chip).run_programs(delay_overflow_programs(16), |t| t / 4);
-        out.push((format!("ultrasparc-t2/{policy}/delay-overflow"), stats));
+        let threads = delay_overflow_programs(16)
+            .into_iter()
+            .enumerate()
+            .map(|(t, program)| ThreadSpec::new(t / 4, program))
+            .collect();
+        out.push(Case {
+            name: format!("ultrasparc-t2/{policy}/delay-overflow"),
+            sim: Simulation::new(chip),
+            threads,
+            traced: false,
+        });
     }
     out
+}
+
+/// Runs the engine-paths matrix and returns `(name, stats)` per case.
+pub fn run_engine_paths_matrix() -> Vec<(String, SimStats)> {
+    engine_paths_cases().into_iter().map(Case::stats).collect()
+}
+
+/// Runs every case of both matrices with a `ProbeDigest` and returns
+/// `(name, digest)` per case, FIFO matrix first.
+pub fn run_probe_digests() -> Vec<(String, u64)> {
+    fifo_cases()
+        .into_iter()
+        .chain(engine_paths_cases())
+        .map(Case::probe_digest)
+        .collect()
 }
 
 fn field_u64(obj: &JsonValue, key: &str) -> u64 {
@@ -288,8 +458,12 @@ pub fn stats_from_json(v: &JsonValue) -> SimStats {
     }
 }
 
-/// Loads the committed golden file as `(name, stats)` pairs.
-pub fn load_golden(path: &std::path::Path) -> Vec<(String, SimStats)> {
+/// Loads a committed capture's cases as `(name, value)` pairs, `value`
+/// read from each case object by `read`.
+fn load_cases<T>(
+    path: &std::path::Path,
+    read: impl Fn(&BTreeMap<String, JsonValue>) -> T,
+) -> Vec<(String, T)> {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read golden file {}: {e}", path.display()));
     let doc = t2opt_core::json::parse_json(&text).expect("golden file parses");
@@ -307,8 +481,25 @@ pub fn load_golden(path: &std::path::Path) -> Vec<(String, SimStats)> {
                 .and_then(JsonValue::as_str)
                 .expect("case has a name")
                 .to_string();
-            let stats = stats_from_json(obj.get("stats").expect("case has stats"));
-            (name, stats)
+            (name, read(obj))
         })
         .collect()
+}
+
+/// Loads the committed golden file as `(name, stats)` pairs.
+pub fn load_golden(path: &std::path::Path) -> Vec<(String, SimStats)> {
+    load_cases(path, |obj| {
+        stats_from_json(obj.get("stats").expect("case has stats"))
+    })
+}
+
+/// Loads the committed probe-digest capture as `(name, digest)` pairs.
+pub fn load_probe_digests(path: &std::path::Path) -> Vec<(String, u64)> {
+    load_cases(path, |obj| {
+        let hex = obj
+            .get("digest")
+            .and_then(JsonValue::as_str)
+            .expect("case has a digest");
+        u64::from_str_radix(hex, 16).expect("digest is 16 hex digits")
+    })
 }

@@ -11,21 +11,32 @@
 //!   placement, and events scheduled past the event queue's ring. It was
 //!   captured from the engine before the calendar queue replaced its
 //!   binary heap.
+//! * `tests/golden/probe_digests.json` pins what `SimStats` do not see:
+//!   the order and arguments of every probe call (stalls, NACKs,
+//!   controller services) in every case of both matrices. It was captured
+//!   from the engine before its FIFO and arbitrated controllers shared one
+//!   service step.
 //!
-//! Both files are written by `examples/policy_golden.rs`. Every `SimStats`
-//! field is compared with `==`; a mismatch is a regression in the engine,
-//! not a reason to regenerate a golden file.
+//! All three files are written by `examples/policy_golden.rs`. Every
+//! `SimStats` field and every digest is compared with `==`; a mismatch is a
+//! regression in the engine, not a reason to regenerate a golden file.
 
 use t2opt::golden::{
-    load_golden, run_engine_paths_matrix, run_matrix, ENGINE_PATHS_GOLDEN_PATH, GOLDEN_PATH,
+    load_golden, load_probe_digests, run_engine_paths_matrix, run_matrix, run_probe_digests,
+    ENGINE_PATHS_GOLDEN_PATH, GOLDEN_PATH, PROBE_DIGESTS_GOLDEN_PATH,
 };
 use t2opt::sim::policy::PolicyKind;
-use t2opt::sim::SimStats;
+
+fn golden_path(rel_path: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel_path)
+}
 
 /// Compares a re-run matrix against the committed capture at `rel_path`.
-fn assert_matches_golden(rel_path: &str, current: Vec<(String, SimStats)>) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel_path);
-    let golden = load_golden(&path);
+fn assert_matches_golden<T: PartialEq + std::fmt::Debug>(
+    rel_path: &str,
+    golden: Vec<(String, T)>,
+    current: Vec<(String, T)>,
+) {
     assert_eq!(
         golden.len(),
         current.len(),
@@ -33,13 +44,10 @@ fn assert_matches_golden(rel_path: &str, current: Vec<(String, SimStats)>) {
          extend a golden only via examples/policy_golden.rs"
     );
     let mut failures = Vec::new();
-    for ((gname, gstats), (cname, cstats)) in golden.iter().zip(current.iter()) {
+    for ((gname, gval), (cname, cval)) in golden.iter().zip(current.iter()) {
         assert_eq!(gname, cname, "matrix case order drifted");
-        if gstats != cstats {
-            failures.push(format!(
-                "{cname}: golden {:?} vs current {:?}",
-                gstats, cstats
-            ));
+        if gval != cval {
+            failures.push(format!("{cname}: golden {gval:?} vs current {cval:?}"));
         }
     }
     assert!(
@@ -64,10 +72,27 @@ fn fifo_is_the_default_policy() {
 
 #[test]
 fn fifo_stats_match_the_pre_refactor_golden_bitwise() {
-    assert_matches_golden(GOLDEN_PATH, run_matrix());
+    let golden = load_golden(&golden_path(GOLDEN_PATH));
+    assert_matches_golden(GOLDEN_PATH, golden, run_matrix());
 }
 
 #[test]
 fn arbitrated_numa_and_overflow_stats_match_the_engine_paths_golden_bitwise() {
-    assert_matches_golden(ENGINE_PATHS_GOLDEN_PATH, run_engine_paths_matrix());
+    let golden = load_golden(&golden_path(ENGINE_PATHS_GOLDEN_PATH));
+    assert_matches_golden(ENGINE_PATHS_GOLDEN_PATH, golden, run_engine_paths_matrix());
+}
+
+#[test]
+fn probe_streams_match_the_probe_digest_golden_bitwise() {
+    let golden = load_probe_digests(&golden_path(PROBE_DIGESTS_GOLDEN_PATH));
+    let hex = |v: Vec<(String, u64)>| -> Vec<(String, String)> {
+        v.into_iter()
+            .map(|(n, d)| (n, format!("{d:016x}")))
+            .collect()
+    };
+    assert_matches_golden(
+        PROBE_DIGESTS_GOLDEN_PATH,
+        hex(golden),
+        hex(run_probe_digests()),
+    );
 }
