@@ -20,6 +20,7 @@ use t2opt_core::layout::LayoutSpec;
 use t2opt_parallel::{Schedule, ThreadPool};
 use t2opt_sim::{ChipConfig, Simulation};
 use t2opt_telemetry::metrics::Sink;
+use t2opt_telemetry::trace::TraceCtx;
 
 /// How the tuner walks the parameter space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -255,9 +256,10 @@ impl Tuner {
         }
     }
 
-    /// Attaches a telemetry sink: every trial gets a span, cache traffic
-    /// and pool activity become counters/histograms. A disabled sink (the
-    /// [`Sink::new`] default) costs one branch per event.
+    /// Attaches a telemetry sink: cache traffic and pool activity become
+    /// `autotune.*` counters, added once per [`Tuner::run`]. Spans do not
+    /// go through the sink: `run` records them into the thread's entered
+    /// [`TraceCtx`].
     pub fn telemetry(mut self, sink: Arc<Sink>) -> Self {
         self.sink = Some(sink);
         self
@@ -301,6 +303,10 @@ impl Tuner {
     /// invocations, so a second run over the same space performs zero new
     /// simulations.
     ///
+    /// When the calling thread has entered a [`TraceCtx`], the run records
+    /// a `tune.run` span into it and, under that, one span per simulated
+    /// trial (cache hits get none).
+    ///
     /// # Panics
     /// Panics if the space is empty or the workload does not fit the chip.
     pub fn run(&mut self) -> TuneReport {
@@ -311,12 +317,9 @@ impl Tuner {
         self.workload.validate(&self.chip);
         self.cache.reset_counters();
 
-        // The run span roots a fresh trace; trial spans parent to it so
-        // exporters can reassemble the tuning run as one tree.
-        let run_span = self.sink.as_ref().map(|s| s.span_root("tune.run", 0));
-        let run_ids = run_span
-            .as_ref()
-            .map_or((0, 0), |g| (g.trace_id(), g.span_id()));
+        let ctx = TraceCtx::current();
+        let run_span = ctx.span("tune.run", 0);
+        let trial_ctx = ctx.child_of(run_span.id());
         let pool = if self.sink.is_some() {
             ThreadPool::instrumented(self.pool_threads)
         } else {
@@ -362,7 +365,7 @@ impl Tuner {
                     &mut trials,
                     &mut seen,
                     &mut simulations_run,
-                    run_ids,
+                    &trial_ctx,
                 )
             };
             match strategy {
@@ -437,8 +440,12 @@ impl Tuner {
                 sink.counter("autotune.pool_jobs").add(m.jobs);
                 sink.counter("autotune.pool_busy_ns")
                     .add(m.worker_busy_ns.iter().sum());
-                sink.counter("autotune.pool_queue_latency_mean_ns")
-                    .add(m.queue_latency_ns.mean() as u64);
+                // A sum and its count, not their ratio: both add up across
+                // runs sharing the sink.
+                sink.counter("autotune.pool_queue_latency_sum_ns")
+                    .add(m.queue_latency_ns.sum);
+                sink.counter("autotune.pool_pickups")
+                    .add(m.queue_latency_ns.count);
             }
         }
 
@@ -511,7 +518,7 @@ impl Tuner {
         trials: &mut Vec<Trial>,
         seen: &mut BTreeMap<String, usize>,
         simulations_run: &mut u64,
-        run_ids: (u64, u64),
+        trial_ctx: &TraceCtx,
     ) -> Vec<f64> {
         let advisor = self.advisor();
         let specs: Vec<LayoutSpec> = idxs.iter().map(|&i| self.space.spec_at(i)).collect();
@@ -558,19 +565,14 @@ impl Tuner {
             let workload = &self.workload;
             let chip = &self.chip;
             let n_cores = self.chip.core.n_cores;
-            let sink = self.sink.clone();
             let run_specs: Vec<&LayoutSpec> = to_run.iter().map(|&i| &specs[i]).collect();
             pool.parallel_for(0..to_run.len(), Schedule::Dynamic(1), |tid, chunk| {
                 for j in chunk {
                     let spec = run_specs[j];
-                    let _span = sink.as_ref().map(|s| {
-                        s.span_child(
-                            format!("trial bo{} sh{}", spec.block_offset, spec.shift),
-                            tid as u32,
-                            run_ids.0,
-                            run_ids.1,
-                        )
-                    });
+                    // Named only when recorded: a disabled context allocates nothing.
+                    let _span = trial_ctx
+                        .is_enabled()
+                        .then(|| trial_ctx.span(trial_span_name(spec), tid as u32));
                     // The candidate's NUMA page placement rides on the
                     // layout spec; the engine takes it from the config.
                     let mut trial_chip = chip.clone();
@@ -616,6 +618,19 @@ impl Tuner {
 
         keys.iter().map(|key| trials[seen[key]].gbs).collect()
     }
+}
+
+/// A trial span's name: every coordinate of the candidate, so no two
+/// trials of one space share a name.
+fn trial_span_name(spec: &LayoutSpec) -> String {
+    format!(
+        "trial ba{} sa{} sh{} bo{} {}",
+        spec.base_align,
+        spec.seg_align,
+        spec.shift,
+        spec.block_offset,
+        spec.placement.label()
+    )
 }
 
 /// Annealing start temperature (relative-bandwidth units: at `T0` a move
@@ -793,6 +808,7 @@ fn agreement_check(trials: &[Trial]) -> Agreement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use t2opt_telemetry::trace::TraceBuffer;
 
     fn smoke_tuner(space: ParamSpace) -> Tuner {
         Tuner::new(
@@ -920,11 +936,24 @@ mod tests {
 
     #[test]
     fn telemetry_sink_records_trials_and_cache_traffic() {
-        let sink = Sink::enabled();
+        let sink = Sink::new();
+        let traces = TraceBuffer::new(2, 16);
+        let idle = traces.start("idle");
+        // Entered with no parent, so `tune.run` is the root of its trace.
+        let ctx = traces.start("tune").child_of(0);
         let mut tuner =
             smoke_tuner(ParamSpace::offset_sweep(128, 512)).telemetry(Arc::clone(&sink));
-        let cold = tuner.run();
-        let spans = sink.spans();
+        let cold = {
+            let _entered = ctx.enter();
+            tuner.run()
+        };
+        let spans_of = |id: u64| {
+            let recent = traces.recent(2);
+            let t = recent.iter().find(|t| t.trace_id == id).expect("retained");
+            t.spans().to_vec()
+        };
+        assert!(spans_of(idle.trace_id()).is_empty(), "never entered");
+        let spans = spans_of(ctx.trace_id());
         let run_span = spans
             .iter()
             .find(|s| s.name == "tune.run")
@@ -944,12 +973,58 @@ mod tests {
         assert_eq!(counters["autotune.cache_misses"], cold.simulations_run);
         assert_eq!(counters["autotune.cache_hits"], 0);
         assert!(counters["autotune.pool_jobs"] > 0);
-        // A warm rerun adds hits, not misses or spans.
+        // A warm rerun on a thread with no entered trace adds hits, not
+        // misses or spans.
         let warm = tuner.run();
         assert_eq!(warm.simulations_run, 0);
+        assert_eq!(spans_of(ctx.trace_id()).len(), spans.len());
         let counters: BTreeMap<String, u64> = sink.counter_values().into_iter().collect();
         assert_eq!(counters["autotune.cache_hits"], cold.trials.len() as u64);
         assert_eq!(counters["autotune.cache_misses"], cold.simulations_run);
+    }
+
+    #[test]
+    fn pool_latency_counters_add_up_across_runs_on_one_sink() {
+        let sink = Sink::new();
+        // (latency sum, pickups, jobs) after each of two fresh tuners, so
+        // both runs simulate through a pool of their own.
+        let mut after = Vec::new();
+        for _ in 0..2 {
+            let report = smoke_tuner(ParamSpace::offset_sweep(128, 512))
+                .telemetry(Arc::clone(&sink))
+                .run();
+            assert!(report.simulations_run > 0);
+            let c: BTreeMap<String, u64> = sink.counter_values().into_iter().collect();
+            after.push((
+                c["autotune.pool_queue_latency_sum_ns"],
+                c["autotune.pool_pickups"],
+                c["autotune.pool_jobs"],
+            ));
+        }
+        let ((sum1, n1, _), (sum2, n2, jobs)) = (after[0], after[1]);
+        // Each of the 4 workers picks up every job once, in both runs, and
+        // both figures keep adding, so the mean over the two runs is
+        // sum2 / n2.
+        assert_eq!(n2, 4 * jobs);
+        assert_eq!(n2, 2 * n1, "pickups add up across runs");
+        assert!(sum1 > 0 && sum2 > sum1, "latency adds up across runs");
+    }
+
+    #[test]
+    fn trial_span_names_cover_every_coordinate() {
+        let base = LayoutSpec::new();
+        let variants = [
+            base.clone().base_align(8192),
+            base.clone().seg_align(512),
+            base.clone().shift(64),
+            base.clone().block_offset(128),
+            base.clone()
+                .placement(t2opt_core::mapping::PagePlacement::Interleave),
+        ];
+        let mut names: Vec<String> = variants.iter().map(trial_span_name).collect();
+        names.push(trial_span_name(&base));
+        let distinct: std::collections::BTreeSet<&String> = names.iter().collect();
+        assert_eq!(distinct.len(), names.len(), "{names:?}");
     }
 
     #[test]
@@ -1088,7 +1163,7 @@ mod tests {
 
     #[test]
     fn transfer_seeded_falls_back_to_origin_descent_when_cache_is_cold() {
-        let sink = Sink::enabled();
+        let sink = Sink::new();
         let report = jacobi_transfer_tuner().telemetry(Arc::clone(&sink)).run();
         assert!(report.simulations_run > 0);
         let counters: BTreeMap<String, u64> = sink.counter_values().into_iter().collect();
@@ -1124,7 +1199,7 @@ mod tests {
                 },
             );
         }
-        let sink = Sink::enabled();
+        let sink = Sink::new();
         let warm = jacobi_transfer_tuner()
             .cache(cache)
             .telemetry(Arc::clone(&sink))
@@ -1166,7 +1241,7 @@ mod tests {
         triad.run();
         let shared = triad.into_cache();
 
-        let sink = Sink::enabled();
+        let sink = Sink::new();
         let report = jacobi_transfer_tuner()
             .cache(shared)
             .telemetry(Arc::clone(&sink))

@@ -28,8 +28,10 @@
 //! `--strategy transfer`: the search starts from the best layout another
 //! kernel family cached on the same chip.
 //!
-//! `--telemetry <path>` records a span per simulated trial plus cache and
-//! pool counters, and writes them as a Chrome-trace file after the run.
+//! `--telemetry <path>` prints the run's cache and pool counters
+//! (`telemetry: autotune.*` lines on stdout) and writes the run's trace —
+//! a `tune.run` span and one span per simulated trial under it — to
+//! `<path>` as Chrome-trace JSON.
 //!
 //! `--chip <preset>` tunes for a different simulated topology (default
 //! `ultrasparc-t2`): the sweep grids, the advisor cross-validation, and
@@ -45,8 +47,9 @@ use std::sync::Arc;
 use t2opt_autotune::{ParamSpace, ResultCache, SearchStrategy, TuneReport, Tuner, Workload};
 use t2opt_bench::{chip_from_args, write_json, Args, Table};
 use t2opt_kernels::lbm::LbmLayout;
+use t2opt_telemetry::export::traces_chrome_trace;
 use t2opt_telemetry::metrics::Sink;
-use t2opt_telemetry::prelude::spans_chrome_trace;
+use t2opt_telemetry::trace::{TraceBuffer, TraceCtx};
 
 /// Result-cache effectiveness for this run: how many trials were served
 /// from the store vs freshly simulated, and how many entries the cache
@@ -147,13 +150,16 @@ fn main() {
         }
     };
 
+    // One trace with room for `tune.run` and a span per candidate.
+    let telemetry = args
+        .get_str("telemetry")
+        .map(|path| (path, Sink::new(), TraceBuffer::new(1, space.len() + 1)));
     let mut tuner = Tuner::new(workload.clone(), chip, space).strategy(strategy);
     if let Some(path) = args.get_str("cache") {
         tuner = tuner.cache(ResultCache::at_path(path).expect("failed to load result cache"));
     }
-    let sink = args.get_str("telemetry").map(|_| Sink::enabled());
-    if let Some(s) = &sink {
-        tuner = tuner.telemetry(Arc::clone(s));
+    if let Some((_, sink, _)) = &telemetry {
+        tuner = tuner.telemetry(Arc::clone(sink));
     }
 
     eprintln!(
@@ -163,7 +169,15 @@ fn main() {
         policy_name,
         workload.n()
     );
-    let report = tuner.run();
+    let ctx = match &telemetry {
+        // No parent span: `tune.run` roots the trace.
+        Some((_, _, traces)) => traces.start("autotune").child_of(0),
+        None => TraceCtx::disabled(),
+    };
+    let report = {
+        let _entered = ctx.enter();
+        tuner.run()
+    };
 
     let mut table = Table::new(vec![
         "base_align",
@@ -240,11 +254,11 @@ fn main() {
         eprintln!("wrote {path}");
     }
 
-    if let (Some(path), Some(sink)) = (args.get_str("telemetry"), &sink) {
+    if let Some((path, sink, traces)) = &telemetry {
         for (name, value) in sink.counter_values() {
             println!("telemetry: {name} = {value}");
         }
-        let trace = spans_chrome_trace(&sink.spans(), &sink.counter_values());
+        let trace = traces_chrome_trace(&traces.recent(1));
         std::fs::write(path, trace).expect("failed to write Chrome trace");
         eprintln!("wrote Chrome trace {path}");
     }

@@ -114,7 +114,7 @@ fn main() {
         print!("{}", ascii_heatmap(&timeline, 72));
         let report = AliasReport::analyze(&timeline, &AliasConfig::for_chip(&spec));
         println!("{}", report.summary());
-        let trace = chrome_trace(&timeline, &[], chip.clock_hz / 1e6);
+        let trace = chrome_trace(&timeline, chip.clock_hz / 1e6);
         t2opt_core::json::parse_json(&trace).expect("generated Chrome trace must be valid JSON");
         std::fs::write(path, trace).expect("failed to write Chrome trace");
         eprintln!("wrote Chrome trace {path}");

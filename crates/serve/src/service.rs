@@ -134,7 +134,7 @@ impl AdviceService {
             })
             .map(|e| (e.spec.name.clone(), e))
             .collect();
-        let sink = Sink::enabled();
+        let sink = Sink::new();
         // Pre-register every counter the Prometheus exposition should
         // show even at zero.
         for name in [
@@ -470,7 +470,11 @@ impl AdviceService {
             .strategy(strategy)
             .cache(trials)
             .pool_threads(2);
-        let report = tuner.run();
+        // The tuner records `tune.run` and its trial spans under refine.run.
+        let report = {
+            let _tuning = ctx.child_of(run_span.id()).enter();
+            tuner.run()
+        };
         let upgraded = Entry {
             gbs: report.best.gbs,
             meta: Some(TrialMeta {
@@ -794,7 +798,7 @@ mod tests {
         let job = svc.refine_queue().try_pop().expect("refinement queued");
         assert_eq!(job.trace_id, ctx.trace_id(), "job carries the trace");
         assert_ne!(job.parent_span, 0, "job parents to the enqueue span");
-        svc.run_refinement(&job, ResultCache::in_memory());
+        let simulated = svc.run_refinement(&job, ResultCache::in_memory()).len();
         ctx.finish_root("request", 3);
         let t = &traces.recent(1)[0];
         let names: Vec<&str> = t.spans().iter().map(|s| s.name.as_str()).collect();
@@ -803,6 +807,7 @@ mod tests {
             "advisor.model",
             "refine.enqueue",
             "refine.run",
+            "tune.run",
             "store.upgrade",
             "request",
         ] {
@@ -817,6 +822,19 @@ mod tests {
             span_of("refine.run").span_id
         );
         assert_eq!(span_of("refine.enqueue").span_id, job.parent_span);
+        // The tuner's spans continue the chain: refine.run → tune.run →
+        // one trial span per simulation (the cache started empty).
+        let tune_run = span_of("tune.run");
+        assert_eq!(tune_run.parent_id, span_of("refine.run").span_id);
+        let trials: Vec<_> = t
+            .spans()
+            .iter()
+            .filter(|s| s.name.starts_with("trial "))
+            .collect();
+        assert!(simulated > 0);
+        assert_eq!(trials.len(), simulated);
+        assert!(trials.iter().all(|s| s.parent_id == tune_run.span_id));
+        assert_eq!(t.spans_dropped(), 0);
     }
 
     #[test]

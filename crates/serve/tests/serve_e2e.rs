@@ -206,6 +206,7 @@ fn trace_endpoint_exports_the_cold_miss_chain_over_tcp() {
         "advisor.model",
         "refine.enqueue",
         "refine.run",
+        "tune.run",
         "store.upgrade",
         "request",
     ] {

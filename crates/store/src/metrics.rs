@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn publish_is_idempotent_set_to_current() {
         let m = StoreMetrics::default();
-        let sink = Sink::enabled();
+        let sink = Sink::new();
         m.hit();
         m.publish(&sink);
         m.hit();
@@ -187,7 +187,7 @@ mod tests {
     fn concurrent_publishes_converge_on_totals() {
         use std::sync::Arc;
         let m = Arc::new(StoreMetrics::default());
-        let sink = Sink::enabled();
+        let sink = Sink::new();
         for _ in 0..100 {
             m.hit();
         }

@@ -7,7 +7,7 @@
 //! serde-serialized event objects because the vendored derive supports
 //! plain structs only.
 
-use crate::metrics::{HistogramSnapshot, SpanRecord};
+use crate::metrics::HistogramSnapshot;
 use crate::timeline::Timeline;
 use crate::trace::TraceRecord;
 use serde::Serialize;
@@ -55,8 +55,6 @@ struct CounterEvent {
 
 /// Process id used for simulator-timeline rows in the Chrome trace.
 const SIM_PID: u32 = 1;
-/// Process id used for host spans (pool workers, tuner trials).
-const HOST_PID: u32 = 2;
 
 fn meta(pid: u32, tid: u32, key: &str, name: &str) -> String {
     to_json_string(&MetaEvent {
@@ -70,27 +68,14 @@ fn meta(pid: u32, tid: u32, key: &str, name: &str) -> String {
     })
 }
 
-fn span_event(pid: u32, s: &SpanRecord) -> String {
-    to_json_string(&SliceEvent {
-        ph: "X".to_string(),
-        pid,
-        tid: s.tid,
-        name: s.name.clone(),
-        cat: "host".to_string(),
-        ts: s.start_us,
-        dur: s.dur_us,
-    })
-}
-
 fn envelope(events: Vec<String>) -> String {
     format!("{{\"traceEvents\":[{}]}}", events.join(","))
 }
 
-/// Renders a [`Timeline`] (plus optional host spans) as a Chrome-trace
-/// JSON string. `cycles_per_us` converts simulator cycles to trace
-/// microseconds (1200 for the 1.2 GHz T2); timeline timestamps are
-/// rebased to the measurement-window open.
-pub fn chrome_trace(timeline: &Timeline, spans: &[SpanRecord], cycles_per_us: f64) -> String {
+/// Renders a [`Timeline`] as a Chrome-trace JSON string. `cycles_per_us`
+/// converts simulator cycles to trace microseconds (1200 for the 1.2 GHz
+/// T2); timeline timestamps are rebased to the measurement-window open.
+pub fn chrome_trace(timeline: &Timeline, cycles_per_us: f64) -> String {
     assert!(cycles_per_us > 0.0, "need a positive cycle rate");
     let us = |cycle: u64| cycle.saturating_sub(timeline.start_cycle) as f64 / cycles_per_us;
     let mut events = Vec::new();
@@ -132,35 +117,6 @@ pub fn chrome_trace(timeline: &Timeline, spans: &[SpanRecord], cycles_per_us: f6
             ts: us(w.start_cycle),
             args: ValueArgs {
                 value: w.mc_nacks.iter().sum::<u64>() as f64,
-            },
-        }));
-    }
-    if !spans.is_empty() {
-        events.push(meta(HOST_PID, 0, "process_name", "t2opt-host"));
-        events.extend(spans.iter().map(|s| span_event(HOST_PID, s)));
-    }
-    envelope(events)
-}
-
-/// Renders host spans and counters alone (no simulator timeline) as a
-/// Chrome-trace JSON string — the shape the autotuner exports.
-pub fn spans_chrome_trace(spans: &[SpanRecord], counters: &[(String, u64)]) -> String {
-    let mut events = Vec::new();
-    events.push(meta(HOST_PID, 0, "process_name", "t2opt-host"));
-    events.extend(spans.iter().map(|s| span_event(HOST_PID, s)));
-    let end_us = spans
-        .iter()
-        .map(|s| s.start_us + s.dur_us)
-        .fold(0.0f64, f64::max);
-    for (name, value) in counters {
-        events.push(to_json_string(&CounterEvent {
-            ph: "C".to_string(),
-            pid: HOST_PID,
-            tid: 0,
-            name: name.clone(),
-            ts: end_us,
-            args: ValueArgs {
-                value: *value as f64,
             },
         }));
     }
@@ -544,16 +500,7 @@ mod tests {
     #[test]
     fn chrome_trace_parses_and_has_events() {
         let t = sample_timeline();
-        let spans = vec![SpanRecord {
-            name: "trial".to_string(),
-            tid: 1,
-            start_us: 5.0,
-            dur_us: 10.0,
-            trace_id: 0,
-            span_id: 0,
-            parent_id: 0,
-        }];
-        let json = chrome_trace(&t, &spans, 1200.0);
+        let json = chrome_trace(&t, 1200.0);
         let v = parse_json(&json).expect("valid JSON");
         let events = v
             .as_object()
@@ -565,27 +512,6 @@ mod tests {
         assert!(events
             .iter()
             .all(|e| e.as_object().and_then(|o| o.get("ph")).is_some()));
-    }
-
-    #[test]
-    fn spans_chrome_trace_parses() {
-        let spans = vec![SpanRecord {
-            name: "t".to_string(),
-            tid: 0,
-            start_us: 0.0,
-            dur_us: 1.0,
-            trace_id: 0,
-            span_id: 0,
-            parent_id: 0,
-        }];
-        let json = spans_chrome_trace(&spans, &[("cache_hits".to_string(), 7)]);
-        let v = parse_json(&json).expect("valid JSON");
-        let events = v
-            .as_object()
-            .and_then(|o| o.get("traceEvents"))
-            .and_then(|e| e.as_array())
-            .expect("traceEvents array");
-        assert_eq!(events.len(), 3);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! missing layers:
 //!
 //! * [`metrics`] — host-side primitives: atomic [`metrics::Counter`]s,
-//!   fixed-log2-bucket [`metrics::Histogram`]s, span timers, a bounded
-//!   [`metrics::RingLog`] event buffer, and a process-wide/thread-local
-//!   [`metrics::Sink`] that is **disabled by default** and nearly free when
-//!   disabled (one relaxed atomic load per probe).
+//!   fixed-log2-bucket [`metrics::Histogram`]s, a bounded
+//!   [`metrics::RingLog`] event buffer, and the [`metrics::Sink`] registry
+//!   of named counters and histograms, which host code attaches only when
+//!   it wants metrics.
 //! * [`probe`] — the simulator-side hook trait [`probe::SimProbe`]. The
 //!   engine is generic over it and runs with the no-op [`probe::NoProbe`]
 //!   unless tracing is requested, so the uninstrumented path monomorphizes
@@ -29,10 +29,11 @@
 //! * [`export`] — JSON-lines, Chrome-trace (`chrome://tracing` /
 //!   Perfetto), Prometheus text-exposition, and terminal ASCII-heatmap
 //!   exporters.
-//! * [`trace`] — request-scoped tracing for the serving stack: cheap
-//!   xorshift trace/span ids, a [`trace::TraceCtx`] carried across the
-//!   accept → parse → tier-decision → refinement → store chain, and a
-//!   bounded [`trace::TraceBuffer`] retaining recent request traces.
+//! * [`trace`] — the one span system: cheap xorshift trace/span ids, a
+//!   [`trace::TraceCtx`] carried across the accept → parse →
+//!   tier-decision → refinement → tuner-trial → store chain (explicitly,
+//!   or entered as the thread's ambient context), and a bounded
+//!   [`trace::TraceBuffer`] retaining recent traces.
 //! * [`logger`] — a minimal leveled structured logger (JSON lines with
 //!   the ambient trace id stamped on every line).
 
@@ -50,12 +51,11 @@ pub mod trace;
 pub mod prelude {
     pub use crate::alias::{AliasConfig, AliasReport};
     pub use crate::export::{
-        ascii_heatmap, chrome_trace, prometheus_text, spans_chrome_trace, timeline_jsonl,
-        traces_chrome_trace,
+        ascii_heatmap, chrome_trace, prometheus_text, timeline_jsonl, traces_chrome_trace,
     };
     pub use crate::logger::{log_line, Level, Logger};
-    pub use crate::metrics::{Counter, Histogram, RingLog, Sink, SpanRecord};
+    pub use crate::metrics::{Counter, Histogram, RingLog, Sink};
     pub use crate::probe::{NoProbe, SimProbe, StallKind};
     pub use crate::timeline::{StreamLabel, Timeline, TimelineRecorder, TraceConfig};
-    pub use crate::trace::{TraceBuffer, TraceCtx};
+    pub use crate::trace::{SpanRecord, TraceBuffer, TraceCtx};
 }

@@ -1,19 +1,17 @@
-//! Host-side metric primitives: counters, log2-bucket histograms, span
-//! timers, a bounded ring-buffer event log, and the [`Sink`] registry.
+//! Host-side metric primitives: counters, log2-bucket histograms, a
+//! bounded ring-buffer event log, and the [`Sink`] registry.
 //!
 //! Everything here is built for *instrumenting real host code* (the thread
-//! pool, the autotuner) rather than the simulator hot loop — the simulator
-//! uses the zero-cost [`crate::probe::SimProbe`] path instead. The overhead
-//! contract for host code is: a **disabled** sink costs one relaxed atomic
-//! load per probe site (spans return a no-op guard, counters are still
-//! plain atomics the caller may cache); an enabled sink costs an atomic
-//! RMW per counter bump and a mutex push per finished span.
+//! pool, the autotuner, the daemon) rather than the simulator hot loop —
+//! the simulator uses the zero-cost [`crate::probe::SimProbe`] path
+//! instead. A counter bump or histogram record is a relaxed atomic RMW; a
+//! [`Sink`] lookup takes a mutex, so callers resolve their instruments
+//! once. Timed spans live in [`crate::trace`].
 
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// A monotonically increasing atomic counter.
 #[derive(Debug, Default)]
@@ -274,77 +272,21 @@ impl<T> RingLog<T> {
     }
 }
 
-/// One completed span: a named timed region on a host thread.
-///
-/// The three id fields tie spans into request traces (see
-/// [`crate::trace`]): all zero for plain un-traced spans, otherwise
-/// `trace_id` groups the spans of one logical request, `span_id` names
-/// this span, and `parent_id` is the enclosing span (0 for a root).
-#[derive(Debug, Clone, Serialize)]
-pub struct SpanRecord {
-    /// Span name (e.g. `"trial offset=128"`).
-    pub name: String,
-    /// Logical thread id supplied by the instrumented code.
-    pub tid: u32,
-    /// Start time in microseconds since the sink's epoch.
-    pub start_us: f64,
-    /// Duration in microseconds.
-    pub dur_us: f64,
-    /// Trace this span belongs to (0 = not part of a trace).
-    pub trace_id: u64,
-    /// This span's own id (0 = un-traced legacy span).
-    pub span_id: u64,
-    /// Id of the enclosing span (0 = root of its trace).
-    pub parent_id: u64,
-}
-
-/// A registry of named counters and histograms plus a span log, shared via
-/// `Arc` between the instrumented code and the exporter.
-///
-/// Sinks start **disabled**: probes check [`Sink::enabled`] (one relaxed
-/// atomic load) and bail out. Call [`Sink::set_enabled`] to start
-/// recording.
+/// A registry of named counters and histograms, shared via `Arc` between
+/// the instrumented code and the exporter. It has no on/off state: host
+/// code that should not pay for metrics attaches no sink.
 pub struct Sink {
-    enabled: AtomicBool,
-    epoch: Instant,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    spans: Mutex<Vec<SpanRecord>>,
 }
 
 impl Sink {
-    /// A fresh, disabled sink.
+    /// A fresh, empty sink.
     pub fn new() -> Arc<Self> {
         Arc::new(Sink {
-            enabled: AtomicBool::new(false),
-            epoch: Instant::now(),
             counters: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            spans: Mutex::new(Vec::new()),
         })
-    }
-
-    /// A fresh sink that is already recording.
-    pub fn enabled() -> Arc<Self> {
-        let s = Sink::new();
-        s.set_enabled(true);
-        s
-    }
-
-    /// Whether the sink records anything.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns recording on or off.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Microseconds since the sink was created.
-    pub fn now_us(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64() * 1e6
     }
 
     /// The counter registered under `name` (created on first use). Cache
@@ -360,74 +302,6 @@ impl Sink {
         map.entry(name.to_string())
             .or_insert_with(|| Arc::new(Histogram::new()))
             .clone()
-    }
-
-    /// Starts a span; the span is recorded when the returned guard drops.
-    /// On a disabled sink this is a no-op guard.
-    pub fn span(self: &Arc<Self>, name: impl Into<String>, tid: u32) -> SpanGuard {
-        self.span_with_ids(name, tid, 0, 0, 0)
-    }
-
-    /// Starts a span that is the **root of a fresh trace**: a new trace id
-    /// and span id are drawn from [`crate::trace::next_id`], so child
-    /// spans can parent to it via [`Sink::span_child`].
-    pub fn span_root(self: &Arc<Self>, name: impl Into<String>, tid: u32) -> SpanGuard {
-        if !self.is_enabled() {
-            return self.span_with_ids(name, tid, 0, 0, 0);
-        }
-        let trace_id = crate::trace::next_id();
-        let span_id = crate::trace::next_id();
-        self.span_with_ids(name, tid, trace_id, span_id, 0)
-    }
-
-    /// Starts a span inside an existing trace, parented to `parent_id`.
-    pub fn span_child(
-        self: &Arc<Self>,
-        name: impl Into<String>,
-        tid: u32,
-        trace_id: u64,
-        parent_id: u64,
-    ) -> SpanGuard {
-        if !self.is_enabled() {
-            return self.span_with_ids(name, tid, 0, 0, 0);
-        }
-        self.span_with_ids(name, tid, trace_id, crate::trace::next_id(), parent_id)
-    }
-
-    fn span_with_ids(
-        self: &Arc<Self>,
-        name: impl Into<String>,
-        tid: u32,
-        trace_id: u64,
-        span_id: u64,
-        parent_id: u64,
-    ) -> SpanGuard {
-        if self.is_enabled() {
-            SpanGuard {
-                sink: Some(Arc::clone(self)),
-                name: name.into(),
-                tid,
-                start_us: self.now_us(),
-                trace_id,
-                span_id,
-                parent_id,
-            }
-        } else {
-            SpanGuard {
-                sink: None,
-                name: String::new(),
-                tid: 0,
-                start_us: 0.0,
-                trace_id: 0,
-                span_id: 0,
-                parent_id: 0,
-            }
-        }
-    }
-
-    /// All completed spans so far, in completion order.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.spans.lock().expect("span log").clone()
     }
 
     /// All counters as `(name, value)`, sorted by name.
@@ -449,67 +323,6 @@ impl Sink {
             .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect()
     }
-}
-
-/// RAII guard returned by [`Sink::span`]; records the span on drop.
-pub struct SpanGuard {
-    sink: Option<Arc<Sink>>,
-    name: String,
-    tid: u32,
-    start_us: f64,
-    trace_id: u64,
-    span_id: u64,
-    parent_id: u64,
-}
-
-impl SpanGuard {
-    /// The trace id this span opened or joined (0 for a no-op guard).
-    pub fn trace_id(&self) -> u64 {
-        self.trace_id
-    }
-
-    /// This span's id (0 for a no-op guard), usable as a child's parent.
-    pub fn span_id(&self) -> u64 {
-        self.span_id
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some(sink) = self.sink.take() {
-            let record = SpanRecord {
-                name: std::mem::take(&mut self.name),
-                tid: self.tid,
-                start_us: self.start_us,
-                dur_us: sink.now_us() - self.start_us,
-                trace_id: self.trace_id,
-                span_id: self.span_id,
-                parent_id: self.parent_id,
-            };
-            sink.spans.lock().expect("span log").push(record);
-        }
-    }
-}
-
-thread_local! {
-    static THREAD_SINK: std::cell::RefCell<Option<Arc<Sink>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Installs `sink` as this thread's ambient sink (for hot code that cannot
-/// thread a handle through its signature).
-pub fn install_thread_sink(sink: Arc<Sink>) {
-    THREAD_SINK.with(|s| *s.borrow_mut() = Some(sink));
-}
-
-/// Removes this thread's ambient sink.
-pub fn clear_thread_sink() {
-    THREAD_SINK.with(|s| *s.borrow_mut() = None);
-}
-
-/// Runs `f` with this thread's ambient sink, if one is installed.
-pub fn with_thread_sink<R>(f: impl FnOnce(&Arc<Sink>) -> R) -> Option<R> {
-    THREAD_SINK.with(|s| s.borrow().as_ref().map(f))
 }
 
 #[cfg(test)]
@@ -577,49 +390,19 @@ mod tests {
     }
 
     #[test]
-    fn disabled_sink_records_no_spans() {
+    fn sink_registers_counters_and_histograms_by_name() {
         let sink = Sink::new();
-        {
-            let _g = sink.span("ignored", 0);
-        }
-        assert!(sink.spans().is_empty());
-    }
-
-    #[test]
-    fn enabled_sink_records_spans_and_counters() {
-        let sink = Sink::enabled();
-        {
-            let _g = sink.span("work", 3);
-            sink.counter("hits").add(2);
-        }
-        let spans = sink.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "work");
-        assert_eq!(spans[0].tid, 3);
-        assert!(spans[0].dur_us >= 0.0);
-        assert_eq!(sink.counter_values(), vec![("hits".to_string(), 2)]);
-    }
-
-    #[test]
-    fn parented_spans_share_a_trace() {
-        let sink = Sink::enabled();
-        let (trace, parent);
-        {
-            let root = sink.span_root("run", 0);
-            trace = root.trace_id();
-            parent = root.span_id();
-            assert_ne!(trace, 0);
-            assert_ne!(parent, 0);
-            let _child = sink.span_child("trial", 1, trace, parent);
-        }
-        let spans = sink.spans();
-        assert_eq!(spans.len(), 2);
-        // The child guard drops before the root guard.
-        assert_eq!(spans[0].trace_id, trace);
-        assert_eq!(spans[0].parent_id, parent);
-        assert_ne!(spans[0].span_id, parent);
-        assert_eq!(spans[1].span_id, parent);
-        assert_eq!(spans[1].parent_id, 0);
+        sink.counter("hits").add(2);
+        sink.counter("hits").inc();
+        sink.counter("a.first").inc();
+        sink.histogram("lat").record(5);
+        assert_eq!(
+            sink.counter_values(),
+            vec![("a.first".to_string(), 1), ("hits".to_string(), 3)]
+        );
+        let hists = sink.histogram_values();
+        assert_eq!(hists.len(), 1);
+        assert_eq!((hists[0].0.as_str(), hists[0].1.count), ("lat", 1));
     }
 
     #[test]
@@ -641,15 +424,5 @@ mod tests {
         let top = Histogram::new();
         top.record(u64::MAX);
         assert_eq!(top.snapshot().quantile_bounds(1.0), (1 << 62, u64::MAX));
-    }
-
-    #[test]
-    fn thread_sink_is_ambient() {
-        let sink = Sink::enabled();
-        install_thread_sink(Arc::clone(&sink));
-        with_thread_sink(|s| s.counter("x").inc()).expect("installed");
-        clear_thread_sink();
-        assert_eq!(with_thread_sink(|_| ()), None);
-        assert_eq!(sink.counter("x").get(), 1);
     }
 }

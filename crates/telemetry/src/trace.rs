@@ -1,15 +1,16 @@
-//! Request-scoped tracing: cheap xorshift-derived trace/span ids, a
-//! [`TraceCtx`] that rides one request through every serving stage, and a
-//! bounded [`TraceBuffer`] retaining the most recent request traces for
-//! export (`GET /trace` renders them as Chrome-trace JSON via
-//! [`crate::export::traces_chrome_trace`]).
+//! Request-scoped tracing, the workspace's one span system: cheap
+//! xorshift-derived trace/span ids, a [`TraceCtx`] that rides one request
+//! through every serving stage down to the tuner's trials, and a bounded
+//! [`TraceBuffer`] retaining the most recent traces for export
+//! (`GET /trace` and `autotune --telemetry` render them as Chrome-trace
+//! JSON via [`crate::export::traces_chrome_trace`]).
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Near-zero cost when off.** [`TraceBuffer::start`] on a disabled
 //!    buffer is one relaxed atomic load and returns a [`TraceCtx`] whose
-//!    every method is a no-op branch — the same contract as the disabled
-//!    [`crate::metrics::Sink`] (DESIGN §8).
+//!    every method is a no-op branch; so is the context of a thread that
+//!    entered none ([`TraceCtx::current`]).
 //! 2. **Bounded memory.** The buffer holds at most `max_traces` traces of
 //!    at most `max_spans` spans each ([`crate::metrics::RingLog`] per
 //!    trace); a long-running daemon cannot leak through its own tracing.
@@ -18,13 +19,38 @@
 //!    a context from the (trace id, parent span id) pair carried on the
 //!    refinement job, and the spans land in the original trace unless it
 //!    has already been evicted.
+//! 4. **Code deep in the call tree needs no tracing argument.**
+//!    [`TraceCtx::enter`] makes a context the thread's ambient one until
+//!    its guard drops: the logger stamps its trace id on every line, and
+//!    the tuner records its run and trial spans through it.
 
-use crate::metrics::{RingLog, SpanRecord};
-use std::cell::Cell;
+use crate::metrics::RingLog;
+use serde::Serialize;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
+
+/// One completed span: a named timed region on a host thread, tied into
+/// its trace by the three id fields.
+#[derive(Debug, Clone, Serialize)]
+pub struct SpanRecord {
+    /// Span name (e.g. `"refine.run"`).
+    pub name: String,
+    /// Logical thread id supplied by the instrumented code.
+    pub tid: u32,
+    /// Start time in microseconds since the owning buffer's epoch.
+    pub start_us: f64,
+    /// Duration in microseconds.
+    pub dur_us: f64,
+    /// Trace this span belongs to.
+    pub trace_id: u64,
+    /// This span's own id.
+    pub span_id: u64,
+    /// Id of the enclosing span (0 = root of its trace).
+    pub parent_id: u64,
+}
 
 /// A fresh process-unique nonzero id. The generator is a global counter
 /// stepped by the golden-ratio increment and finished with an xorshift
@@ -220,30 +246,32 @@ impl TraceBuffer {
 }
 
 thread_local! {
-    static CURRENT_TRACE: Cell<u64> = const { Cell::new(0) };
+    static CURRENT: RefCell<TraceCtx> = const { RefCell::new(TraceCtx::disabled()) };
 }
 
 /// The trace id ambient on this thread (0 when none) — what the
 /// structured logger stamps on every line so logs join traces.
 pub fn current_trace() -> u64 {
-    CURRENT_TRACE.with(Cell::get)
+    CURRENT.try_with(|c| c.borrow().trace_id).unwrap_or(0)
 }
 
 /// RAII guard from [`TraceCtx::enter`]; restores the previous ambient
-/// trace id on drop.
+/// context on drop.
 pub struct CurrentTraceGuard {
-    previous: u64,
+    previous: TraceCtx,
 }
 
 impl Drop for CurrentTraceGuard {
     fn drop(&mut self) {
-        CURRENT_TRACE.with(|c| c.set(self.previous));
+        let previous = std::mem::replace(&mut self.previous, TraceCtx::disabled());
+        // Fails only while the thread's locals are being torn down.
+        let _ = CURRENT.try_with(|c| c.replace(previous));
     }
 }
 
 /// The per-request tracing handle threaded accept → parse → service →
-/// store → refinement. Cloneable; a disabled context is a handful of
-/// no-op branches.
+/// store → refinement → tuner trials. Cloneable; a disabled context is a
+/// handful of no-op branches.
 #[derive(Debug, Clone)]
 pub struct TraceCtx {
     buf: Option<Arc<TraceBuffer>>,
@@ -255,7 +283,7 @@ pub struct TraceCtx {
 
 impl TraceCtx {
     /// A context that records nothing.
-    pub fn disabled() -> Self {
+    pub const fn disabled() -> Self {
         TraceCtx {
             buf: None,
             trace_id: 0,
@@ -291,11 +319,20 @@ impl TraceCtx {
         }
     }
 
-    /// Installs this trace as the thread's ambient trace id (picked up by
-    /// the structured logger) until the guard drops.
+    /// Makes this context the thread's ambient one until the guard drops:
+    /// the structured logger stamps its trace id, and code that takes no
+    /// context argument records through [`TraceCtx::current`]. Guards
+    /// nest; each restores the context it replaced.
     pub fn enter(&self) -> CurrentTraceGuard {
-        let previous = CURRENT_TRACE.with(|c| c.replace(self.trace_id));
+        let previous = CURRENT.with(|c| c.replace(self.clone()));
         CurrentTraceGuard { previous }
+    }
+
+    /// The context entered on this thread (a disabled one when none is).
+    pub fn current() -> TraceCtx {
+        CURRENT
+            .try_with(|c| c.borrow().clone())
+            .unwrap_or_else(|_| TraceCtx::disabled())
     }
 
     /// Starts a span named `name` on logical thread `tid`; it is recorded
@@ -428,7 +465,10 @@ mod tests {
         let root = &t.spans()[2];
         assert_eq!(root.parent_id, 0);
         assert!(t.spans()[..2].iter().all(|s| s.parent_id == root.span_id));
-        assert!(t.spans().iter().all(|s| s.trace_id == t.trace_id));
+        assert!(t
+            .spans()
+            .iter()
+            .all(|s| s.trace_id == t.trace_id && s.tid == 3 && s.dur_us >= 0.0));
     }
 
     #[test]
@@ -491,13 +531,23 @@ mod tests {
 
     #[test]
     fn ambient_trace_follows_enter_guards() {
-        let buf = TraceBuffer::new(1, 2);
-        let ctx = buf.start("req");
-        assert_eq!(current_trace(), 0);
+        let buf = TraceBuffer::new(2, 2);
+        let outer = buf.start("req");
+        let inner = buf.start("inner").child_of(42);
+        let ambient = || (current_trace(), TraceCtx::current().parent_span());
+        assert_eq!(ambient(), (0, 0));
         {
-            let _g = ctx.enter();
-            assert_eq!(current_trace(), ctx.trace_id());
+            let _g = outer.enter();
+            assert_eq!(ambient(), (outer.trace_id(), outer.parent_span()));
+            {
+                let _g = inner.enter();
+                assert_eq!(ambient(), (inner.trace_id(), 42));
+            }
+            // The inner guard restores the outer context, not "none".
+            assert_eq!(ambient(), (outer.trace_id(), outer.parent_span()));
+            assert!(TraceCtx::current().is_enabled());
         }
-        assert_eq!(current_trace(), 0);
+        assert_eq!(ambient(), (0, 0));
+        assert!(!TraceCtx::current().is_enabled());
     }
 }

@@ -24,7 +24,7 @@
 //!   simulator trials in parallel, with a persistent result cache and an
 //!   advisor-agreement cross-check;
 //! * [`telemetry`](t2opt_telemetry) — zero-cost-when-disabled counters,
-//!   histograms and spans, time-resolved simulator timelines with
+//!   histograms and request traces, time-resolved simulator timelines with
 //!   MC-imbalance (aliasing) diagnostics, and Chrome-trace / JSON-lines /
 //!   ASCII-heatmap exporters.
 //!
