@@ -38,7 +38,7 @@
 //! the cache fingerprints all follow that chip's interleave period, and
 //! the JSON output records the preset name.
 //!
-//! `--policy <fifo|read-first|fr-fcfs[:cap]>` selects the controllers'
+//! `--policy <fifo|read-first[:cap]>` selects the controllers'
 //! queue-arbitration discipline (default `fifo`). The chip fingerprint
 //! covers it, so cached results for different policies never mix.
 

@@ -20,11 +20,11 @@
 //! `ultrasparc-t2`); the offset aliasing period then follows that chip's
 //! mapping, and the JSON output records the preset name.
 //!
-//! `--policy <fifo|read-first|fr-fcfs[:cap]>` selects the memory
-//! controllers' queue-arbitration discipline (default `fifo`, the
-//! calibrated T2). Use it to ask how much of the Fig. 2 offset collapse a
-//! smarter controller could dissolve — see the `policy_convoy` binary for
-//! the dedicated comparison.
+//! `--policy <fifo|read-first[:cap]>` selects the memory controllers'
+//! queue-arbitration discipline (default `fifo`, the calibrated T2). Use
+//! it to ask how much of the Fig. 2 offset collapse a smarter controller
+//! could dissolve — see the `policy_convoy` binary for the dedicated
+//! comparison.
 //!
 //! `--telemetry <path>` switches to diagnostic mode: one traced run at
 //! `--telemetry-offset` (default 0, the aliased worst case), printing the

@@ -5,9 +5,9 @@
 //! triad arrays congruent mod 512 B, every stream hits the same memory
 //! controller and threads convoy behind one 64-entry FIFO queue. This
 //! binary asks how much of that collapse a reordering queue discipline
-//! (read-over-write priority, FR-FCFS row-hit first) can claw back
-//! **without** fixing the layout — and how each policy behaves on the
-//! advisor's spread layout (each stream on its own controller).
+//! (read-over-write priority) can claw back **without** fixing the
+//! layout — and how each policy behaves on the advisor's spread layout
+//! (each stream on its own controller).
 //!
 //! ```text
 //! cargo run --release -p t2opt-bench --bin policy_convoy
@@ -24,11 +24,9 @@
 //! Measured shape on the T2 preset: read-over-write beats FIFO on *both*
 //! layouts (with a single outstanding miss per thread, every cycle a
 //! demand load spends behind a fire-and-forget write-back is pure
-//! latency), FR-FCFS stays within noise (streaming arrivals are already
-//! in row order, and the channel model charges row variation as jitter,
-//! not per-request timing), and no policy closes the aliased-vs-spread
-//! gap — the paper's layout fix, not the controller, remains the lever.
-//! `tests/integration.rs` pins exactly this shape.
+//! latency), and no policy closes the aliased-vs-spread gap — the paper's
+//! layout fix, not the controller, remains the lever.
+//! `tests/integration.rs` pins the aliased win and the layout gap.
 
 use serde::Serialize;
 use t2opt_bench::{write_json, Args, Table};
@@ -70,8 +68,7 @@ struct ConvoySummary {
     /// Aliased-layout speedup over FIFO (>1 = the policy claws back some
     /// of the convoy; <1 = reordering makes it worse).
     aliased_speedup_vs_fifo: f64,
-    /// Spread-layout speedup over FIFO (~1 for FR-FCFS — streaming
-    /// arrivals are already in row order; >1 for read-over-write, whose
+    /// Spread-layout speedup over FIFO (>1 for read-over-write, whose
     /// latency win is layout-independent).
     spread_speedup_vs_fifo: f64,
 }
@@ -85,15 +82,12 @@ struct ConvoyOutput {
     summary: Vec<ConvoySummary>,
 }
 
-/// The policy matrix under study: the pinned default plus the two
-/// reordering disciplines at their default starvation cap.
+/// The policy matrix under study: the pinned default plus the reordering
+/// discipline at its default starvation cap.
 fn policy_matrix() -> Vec<PolicyKind> {
     vec![
         PolicyKind::Fifo,
         PolicyKind::ReadFirst {
-            starvation_cap: t2opt_sim::policy::DEFAULT_STARVATION_CAP,
-        },
-        PolicyKind::FrFcfs {
             starvation_cap: t2opt_sim::policy::DEFAULT_STARVATION_CAP,
         },
     ]

@@ -30,8 +30,8 @@ use t2opt_sim::ChipConfig;
 /// Resolves the `--policy <name>` flag into a queue-arbitration policy.
 /// Defaults to `fifo` (the calibrated T2 discipline); accepts the
 /// registry names with an optional `:N` starvation-cap suffix (e.g.
-/// `fr-fcfs:16`). An unknown spelling exits with the listing (user error,
-/// not a panic).
+/// `read-first:16`). An unknown spelling exits with status 2 and the
+/// listing (user error, not a panic).
 pub fn policy_from_args(args: &Args) -> PolicyKind {
     let raw = args.get_str("policy").unwrap_or("fifo");
     match PolicyKind::parse(raw) {

@@ -345,7 +345,7 @@ mod tests {
 
     #[test]
     fn non_default_policies_validate() {
-        for spec in ["read-first", "fr-fcfs:4"] {
+        for spec in ["read-first", "read-first:4"] {
             let mut c = ChipConfig::ultrasparc_t2();
             c.policy = PolicyKind::parse(spec).unwrap();
             c.validate().unwrap();

@@ -42,20 +42,19 @@
 //!   `len − cap`; `tests/policy_differential.rs` holds its [`SimStats`]
 //!   and probe stream bitwise to captures of the engine from before the
 //!   path was shared.
-//! * **Arbitrated (FR-FCFS, read-over-write, …)** admission only parks the
-//!   request in the controller's pending queue and schedules an
-//!   arbitration event; when the event fires and the southbound channel
-//!   is free, the [`crate::policy::QueuePolicy`] picks among the arrived
-//!   requests and the service step resolves the pick. Completed entries
-//!   are dropped wherever they sit, and a slot frees at the earliest
-//!   completion. NACKed threads whose retry time is unknowable (every
-//!   queue occupant still unresolved) park on the controller and are
-//!   released by the next service.
+//! * **Arbitrated (read-first)** admission only parks the request in the
+//!   controller's pending queue and schedules an arbitration event; when
+//!   the event fires and the southbound channel is free, the run's one
+//!   [`crate::policy::QueuePolicy`] picks among the arrived requests and
+//!   the service step resolves the pick. Completed entries are dropped
+//!   wherever they sit, and a slot frees at the earliest completion.
+//!   NACKed threads whose retry time is unknowable (every queue occupant
+//!   still unresolved) park on the controller and are released by the
+//!   next service.
 //!
 //! Full controller queues and full bank miss buffers NACK the request
 //! under both. Everything is deterministically seeded and policies are
-//! required to be deterministic, so simulations are bit-reproducible
-//! under every policy.
+//! stateless, so simulations are bit-reproducible under every policy.
 //!
 //! ## Why the gang window exists
 //!
@@ -78,7 +77,7 @@
 use crate::cache::{Access, L2Cache};
 use crate::config::ChipConfig;
 use crate::mc::MemController;
-use crate::policy::{MemRequest, QueuePolicy, ReqClass};
+use crate::policy::{MemRequest, ReqClass};
 use crate::queue::EventQueue;
 use crate::stats::SimStats;
 use crate::trace::{Op, Program};
@@ -318,9 +317,7 @@ impl Simulation {
             retry: Vec<u32>,
         }
         let fifo = cfg.policy.is_fifo();
-        let mut policies: Vec<Box<dyn QueuePolicy>> = (0..cfg.n_controllers())
-            .map(|_| cfg.policy.build())
-            .collect();
+        let policy = cfg.policy.build();
         let mut mc_st: Vec<McState> = (0..cfg.n_controllers())
             .map(|i| McState {
                 socket: cfg.socket_of_controller(i) as u32,
@@ -532,7 +529,6 @@ impl Simulation {
                             p.bypassed = p.bypassed.saturating_add(1);
                         }
                     }
-                    policies[mci].on_service(&req);
                     // The queue slot and MSHR free when this transfer
                     // completes: that resolves the retry time for threads
                     // NACKed while every occupant was unresolved (which
@@ -664,11 +660,11 @@ impl Simulation {
                     }
                     // One service slot: the policy picks, the service step
                     // resolves the completion time.
-                    let sel = policies[mci].select(&elig_req, now);
+                    let sel = policy.select(&elig_req);
                     assert!(
                         sel < elig_req.len(),
                         "policy {} returned out-of-range index {sel} ({} eligible)",
-                        policies[mci].name(),
+                        policy.name(),
                         elig_req.len()
                     );
                     let req = mc_st[mci].pending.swap_remove(elig_idx[sel]);
@@ -929,7 +925,6 @@ impl Simulation {
                                     MemRequest {
                                         id: next_req,
                                         arrival: varrive,
-                                        addr: victim,
                                         class: ReqClass::Writeback,
                                         tid: None,
                                         bank: None,
@@ -953,7 +948,6 @@ impl Simulation {
                                 MemRequest {
                                     id: next_req,
                                     arrival: bank_done,
-                                    addr,
                                     class: if is_write {
                                         ReqClass::StoreRfo
                                     } else {
@@ -1459,39 +1453,34 @@ mod tests {
 
     #[test]
     fn arbitrated_policies_conserve_traffic_and_stay_deterministic() {
-        use crate::policy::PolicyKind;
+        let policy = crate::policy::PolicyKind::ReadFirst { starvation_cap: 8 };
         let fifo = triad_run([0, 0, 0]);
-        for policy in [
-            PolicyKind::ReadFirst { starvation_cap: 8 },
-            PolicyKind::FrFcfs { starvation_cap: 8 },
-        ] {
-            let a = triad_run_with([0, 0, 0], policy);
-            let b = triad_run_with([0, 0, 0], policy);
-            assert_eq!(a, b, "{policy:?} must be bit-reproducible");
-            // Reordering changes *when*, never *what*: the traffic volume
-            // is identical to FIFO's.
-            assert_eq!(a.mem_ops, fifo.mem_ops, "{policy:?} op conservation");
-            assert_eq!(a.l2_misses, fifo.l2_misses, "{policy:?} miss count");
-            assert_eq!(
-                a.total_read_bytes(),
-                fifo.total_read_bytes(),
-                "{policy:?} read traffic"
-            );
-            // Write-backs are eviction-order dependent (reordering shifts
-            // which lines are still dirty at the end), so only per-run
-            // conservation and closeness hold for them.
-            assert_eq!(
-                a.total_write_bytes(),
-                a.l2_writebacks * 64,
-                "{policy:?} write-back byte conservation"
-            );
-            let wr = a.total_write_bytes() as f64 / fifo.total_write_bytes() as f64;
-            assert!(
-                (0.9..1.1).contains(&wr),
-                "{policy:?} write traffic far from FIFO's: {wr:.3}"
-            );
-            assert!(a.end_cycle > 0 && a.cycles() > 0);
-        }
+        let a = triad_run_with([0, 0, 0], policy);
+        let b = triad_run_with([0, 0, 0], policy);
+        assert_eq!(a, b, "{policy:?} must be bit-reproducible");
+        // Reordering changes *when*, never *what*: the traffic volume is
+        // identical to FIFO's.
+        assert_eq!(a.mem_ops, fifo.mem_ops, "{policy:?} op conservation");
+        assert_eq!(a.l2_misses, fifo.l2_misses, "{policy:?} miss count");
+        assert_eq!(
+            a.total_read_bytes(),
+            fifo.total_read_bytes(),
+            "{policy:?} read traffic"
+        );
+        // Write-backs are eviction-order dependent (reordering shifts which
+        // lines are still dirty at the end), so only per-run conservation
+        // and closeness hold for them.
+        assert_eq!(
+            a.total_write_bytes(),
+            a.l2_writebacks * 64,
+            "{policy:?} write-back byte conservation"
+        );
+        let wr = a.total_write_bytes() as f64 / fifo.total_write_bytes() as f64;
+        assert!(
+            (0.9..1.1).contains(&wr),
+            "{policy:?} write traffic far from FIFO's: {wr:.3}"
+        );
+        assert!(a.end_cycle > 0 && a.cycles() > 0);
     }
 
     #[test]

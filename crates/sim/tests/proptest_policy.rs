@@ -45,14 +45,11 @@ impl SimProbe for ServiceLog {
     }
 }
 
-/// The three policy shapes under test, from two proptest draws.
+/// The two policy shapes under test, from two proptest draws.
 fn policy_from(idx: usize, cap: u32) -> PolicyKind {
-    match idx % 3 {
+    match idx % 2 {
         0 => PolicyKind::Fifo,
-        1 => PolicyKind::ReadFirst {
-            starvation_cap: cap,
-        },
-        _ => PolicyKind::FrFcfs {
+        _ => PolicyKind::ReadFirst {
             starvation_cap: cap,
         },
     }
@@ -95,7 +92,7 @@ proptest! {
         seeds in proptest::collection::vec(0u64..1_000, 1..8),
         write_mod in 0u64..4,
         alias in 0u32..2,
-        pidx in 0usize..3,
+        pidx in 0usize..2,
         cap in 0u32..16,
     ) {
         let mut cfg = ChipConfig::ultrasparc_t2();
@@ -123,11 +120,10 @@ proptest! {
         seeds in proptest::collection::vec(0u64..1_000, 1..8),
         write_mod in 0u64..4,
         alias in 0u32..2,
-        pidx in 1usize..3, // non-FIFO: the event-driven path
         cap in 0u32..16,
     ) {
         let mut cfg = ChipConfig::ultrasparc_t2();
-        cfg.policy = policy_from(pidx, cap);
+        cfg.policy = PolicyKind::ReadFirst { starvation_cap: cap };
         let sim = Simulation::new(cfg.clone());
         let mut log = ServiceLog::new(cfg.n_controllers());
         sim.run_with_probe(arbitrary_threads(&seeds, write_mod, alias == 1), &mut log);
@@ -147,7 +143,7 @@ proptest! {
     #[test]
     fn deterministic_under_every_policy(
         seeds in proptest::collection::vec(0u64..500, 1..6),
-        pidx in 0usize..3,
+        pidx in 0usize..2,
         cap in 0u32..16,
     ) {
         let mut cfg = ChipConfig::ultrasparc_t2();
@@ -157,25 +153,24 @@ proptest! {
     }
 
     /// Starvation bound, policy level: replaying an arbitrary arrival/
-    /// service trace through a reordering policy with the engine's bypass
-    /// accounting, no request is ever bypassed more than `cap` times — the
-    /// moment the oldest request hits the cap the policy must select it.
+    /// service trace through the reordering policy (read-first) with the
+    /// engine's bypass accounting, no request is ever bypassed more than
+    /// `cap` times — the moment the oldest request hits the cap the policy
+    /// must select it.
     #[test]
     fn starvation_is_bounded_by_the_cap(
-        trace in proptest::collection::vec((0u64..8, 0u64..64, 0u32..3), 1..200),
-        pidx in 1usize..3,
+        trace in proptest::collection::vec((0u64..8, 0u32..3), 1..200),
         cap in 0u32..16,
     ) {
-        let kind = policy_from(pidx, cap);
-        let mut policy = kind.build();
+        let kind = PolicyKind::ReadFirst { starvation_cap: cap };
+        let policy = kind.build();
         let mut pending: Vec<MemRequest> = Vec::new();
         let mut now = 0u64;
-        for (i, &(gap, line, class)) in trace.iter().enumerate() {
+        for (i, &(gap, class)) in trace.iter().enumerate() {
             now += gap;
             pending.push(MemRequest {
                 id: (i + 1) as u64,
                 arrival: now,
-                addr: line * 64,
                 class: match class {
                     0 => ReqClass::DemandRead,
                     1 => ReqClass::StoreRfo,
@@ -188,7 +183,7 @@ proptest! {
             // Service one request per arrival step (queue pressure keeps
             // several pending, so reordering actually happens).
             if pending.len() >= 2 || gap > 4 {
-                let sel = policy.select(&pending, now);
+                let sel = policy.select(&pending);
                 prop_assert!(sel < pending.len(), "selection in range");
                 let req = pending.swap_remove(sel);
                 for p in pending.iter_mut() {
@@ -196,7 +191,6 @@ proptest! {
                         p.bypassed += 1;
                     }
                 }
-                policy.on_service(&req);
                 prop_assert!(
                     req.bypassed <= cap,
                     "{}: serviced a request bypassed {} times (cap {cap})",
@@ -216,26 +210,25 @@ proptest! {
     }
 
     /// FIFO through the shared policy trait is order-exact: it always
-    /// selects the minimum id, regardless of class or address pattern.
+    /// selects the minimum id, regardless of class.
     #[test]
     fn fifo_policy_selects_strictly_by_age(
         ids in proptest::collection::vec(0u64..10_000, 1..50),
     ) {
-        let mut policy = PolicyKind::Fifo.build();
+        let policy = PolicyKind::Fifo.build();
         let pending: Vec<MemRequest> = ids
             .iter()
             .enumerate()
             .map(|(i, &id)| MemRequest {
                 id: id * 64 + i as u64, // unique ids
                 arrival: 0,
-                addr: (i as u64) * 4096,
                 class: if i % 2 == 0 { ReqClass::DemandRead } else { ReqClass::Writeback },
                 tid: None,
                 bank: None,
                 bypassed: 0,
             })
             .collect();
-        let sel = policy.select(&pending, 1);
+        let sel = policy.select(&pending);
         let min_id = pending.iter().map(|r| r.id).min().unwrap();
         prop_assert_eq!(pending[sel].id, min_id);
     }

@@ -5,7 +5,7 @@
 //!   the **pre-refactor** engine (before memory-controller arbitration
 //!   events and `QueuePolicy` existed) and held to by
 //!   `tests/policy_differential.rs`;
-//! * `engine-paths`: `tests/golden/engine_paths.json`, the arbitrated,
+//! * `engine-paths`: `tests/golden/engine_paths.json`, the read-first,
 //!   NUMA and event-queue-overflow cases, captured from the engine before
 //!   its event queue became a calendar queue;
 //! * `probe-digests`: `tests/golden/probe_digests.json`, the probe-stream
@@ -14,7 +14,9 @@
 //!
 //! Re-run this only when a matrix itself is intentionally extended —
 //! never to "fix" a differential failure, which is a real regression in
-//! the engine's pinned behavior.
+//! the engine's pinned behavior. When a matrix shrinks because a policy
+//! is deleted, cut its cases from the committed files as text instead;
+//! a run of this generator must then reproduce them byte for byte.
 //!
 //! ```text
 //! cargo run --release --example policy_golden [-- fifo|engine-paths|probe-digests]

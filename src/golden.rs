@@ -353,8 +353,8 @@ fn delay_overflow_programs(threads: usize) -> Vec<Program> {
 
 /// The engine-paths matrix's cases, in matrix order:
 ///
-/// * `read-first` and `fr-fcfs` on every single-socket preset × the three
-///   STREAM regimes — the arbitrated controller path and its events;
+/// * `read-first` on every single-socket preset × the three STREAM
+///   regimes — the arbitrated controller path and its events;
 /// * `2s-numa` and `4s-numa-wide` under every page placement — the NUMA
 ///   remap and the inter-socket link;
 /// * the overflow case ([`delay_overflow_programs`]) on the shrunk T2,
@@ -362,17 +362,15 @@ fn delay_overflow_programs(threads: usize) -> Vec<Program> {
 fn engine_paths_cases() -> Vec<Case> {
     let mut out = Vec::new();
     for preset in PRESET_NAMES.into_iter().filter(|p| !is_numa(p)) {
-        for policy in ["read-first", "fr-fcfs"] {
-            let mut chip = shrunk(preset);
-            chip.policy = PolicyKind::parse(policy).expect("registered policy");
-            for (label, kernel, offset) in STREAM_CASES {
-                out.push(stream_case(
-                    format!("{preset}/{policy}/{label}"),
-                    &chip,
-                    kernel,
-                    offset,
-                ));
-            }
+        let mut chip = shrunk(preset);
+        chip.policy = PolicyKind::parse("read-first").expect("registered policy");
+        for (label, kernel, offset) in STREAM_CASES {
+            out.push(stream_case(
+                format!("{preset}/read-first/{label}"),
+                &chip,
+                kernel,
+                offset,
+            ));
         }
     }
     for preset in PRESET_NAMES.into_iter().filter(|p| is_numa(p)) {

@@ -561,12 +561,10 @@ fn lbm_tuner_matches_or_beats_the_advisor_pick() {
 /// aliased triad — every stream congruent mod 512 B, the paper's Fig. 2/4
 /// worst case — a read-over-write controller strictly beats FIFO, because
 /// demand loads (which a T2 thread blocks on with its single outstanding
-/// miss) no longer queue behind fire-and-forget write-backs. On the
-/// advisor's well-spread layout, FR-FCFS row-hit reordering is within
-/// noise of FIFO: streaming access already arrives in row order, so there
-/// is nothing to reorder. And under *every* policy the spread layout keeps
-/// beating the aliased one — a smarter controller narrows the convoy but
-/// does not replace the paper's layout fix.
+/// miss) no longer queue behind fire-and-forget write-backs. And under
+/// *every* policy the spread layout keeps beating the aliased one — a
+/// smarter controller narrows the convoy but does not replace the paper's
+/// layout fix.
 #[test]
 fn read_over_write_beats_fifo_on_the_aliased_triad() {
     // Small L2 keeps the run DRAM-bound at test-sized N (same trick as
@@ -586,7 +584,6 @@ fn read_over_write_beats_fifo_on_the_aliased_triad() {
             .cycles()
     };
     let read_first = PolicyKind::ReadFirst { starvation_cap: 8 };
-    let fr_fcfs = PolicyKind::FrFcfs { starvation_cap: 8 };
     let aliased = TriadLayout::Align8k;
     let spread = TriadLayout::AlignOffset(128);
 
@@ -598,17 +595,7 @@ fn read_over_write_beats_fifo_on_the_aliased_triad() {
          {rf_aliased} vs {fifo_aliased} cycles"
     );
 
-    let fifo_spread = run(PolicyKind::Fifo, spread);
-    let frfcfs_spread = run(fr_fcfs, spread);
-    let drift = (frfcfs_spread as f64 - fifo_spread as f64).abs() / fifo_spread as f64;
-    assert!(
-        drift < 0.01,
-        "FR-FCFS must be within noise of FIFO on the well-spread layout: \
-         {frfcfs_spread} vs {fifo_spread} cycles ({:.2}% drift)",
-        drift * 100.0
-    );
-
-    for policy in [PolicyKind::Fifo, read_first, fr_fcfs] {
+    for policy in [PolicyKind::Fifo, read_first] {
         let a = run(policy, aliased);
         let s = run(policy, spread);
         assert!(

@@ -7,9 +7,9 @@
 //!   spread triad, write-heavy copy}, the traced/probe path, and the
 //!   stock-T2 Fig. 4 extremes — pins the default FIFO discipline.
 //! * `tests/golden/engine_paths.json` pins what that matrix does not
-//!   reach: the arbitrated policies, the NUMA presets under every page
-//!   placement, and events scheduled past the event queue's ring. It was
-//!   captured from the engine before the calendar queue replaced its
+//!   reach: the arbitrated read-first policy, the NUMA presets under every
+//!   page placement, and events scheduled past the event queue's ring. It
+//!   was captured from the engine before the calendar queue replaced its
 //!   binary heap.
 //! * `tests/golden/probe_digests.json` pins what `SimStats` do not see:
 //!   the order and arguments of every probe call (stalls, NACKs,
@@ -17,9 +17,11 @@
 //!   from the engine before its FIFO and arbitrated controllers shared one
 //!   service step.
 //!
-//! All three files are written by `examples/policy_golden.rs`. Every
-//! `SimStats` field and every digest is compared with `==`; a mismatch is a
-//! regression in the engine, not a reason to regenerate a golden file.
+//! All three files are written by `examples/policy_golden.rs`. Cases of a
+//! deleted policy were cut from the last two as text, leaving every other
+//! byte as captured. Every `SimStats` field and every digest is compared
+//! with `==`; a mismatch is a regression in the engine, not a reason to
+//! regenerate a golden file.
 
 use t2opt::golden::{
     load_golden, load_probe_digests, run_engine_paths_matrix, run_matrix, run_probe_digests,
