@@ -1,6 +1,8 @@
 //! Criterion benchmarks of the simulator engine itself: event throughput
 //! (memory ops simulated per second) for hit-dominated, miss-dominated and
-//! contended workloads — the cost model of every figure sweep.
+//! contended workloads — the cost model of every figure sweep. The
+//! contended workload also runs under read-first arbitration, the engine's
+//! controller-event path.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use t2opt_sim::prelude::*;
@@ -64,6 +66,14 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("misses_contended_64T", |b| {
         b.iter(|| {
             let sim = Simulation::t2();
+            black_box(sim.run(contended_workload(64, ops)).cycles())
+        })
+    });
+    group.bench_function("misses_contended_readfirst_64T", |b| {
+        let mut cfg = ChipConfig::ultrasparc_t2();
+        cfg.policy = PolicyKind::ReadFirst { starvation_cap: 8 };
+        b.iter(|| {
+            let sim = Simulation::new(cfg.clone());
             black_box(sim.run(contended_workload(64, ops)).cycles())
         })
     });

@@ -280,9 +280,13 @@ impl ChipConfig {
         if self.core.n_cores == 0
             || self.core.threads_per_core == 0
             || self.core.outstanding_misses == 0
+            || self.core.store_buffer == 0
             || self.core.mem_pipes == 0
         {
             return Err("core counts must be positive".into());
+        }
+        if self.l2.mshr_per_bank == 0 {
+            return Err("L2 miss buffers per bank must be positive".into());
         }
         if self.mem.read_service == 0 || self.mem.write_service == 0 {
             return Err("service times must be positive".into());
@@ -445,8 +449,17 @@ mod tests {
 
     #[test]
     fn validate_rejects_zero_counts() {
-        let mut c = ChipConfig::ultrasparc_t2();
-        c.core.outstanding_misses = 0;
-        assert!(c.validate().is_err());
+        let zeroes: [fn(&mut ChipConfig); 5] = [
+            |c| c.core.outstanding_misses = 0,
+            |c| c.core.store_buffer = 0,
+            |c| c.core.mem_pipes = 0,
+            |c| c.l2.mshr_per_bank = 0,
+            |c| c.mem.queue_depth = 0,
+        ];
+        for zero in zeroes {
+            let mut c = ChipConfig::ultrasparc_t2();
+            zero(&mut c);
+            assert!(c.validate().is_err());
+        }
     }
 }

@@ -22,6 +22,17 @@
 //!   while *stores* retire through an 8-entry TSO store buffer whose
 //!   read-for-ownerships drain asynchronously.
 //!
+//! ## Who owns which state
+//!
+//! [`Simulation::run_with_probe`] pops events and dispatches them to two
+//! structs. `MemSystem` owns the L2 and its banks, the controllers and
+//! their queues, the policy, the NUMA page homes and link, and the
+//! [`SimStats`]. `Threads`, the thread table, owns each thread's program,
+//! budgets and park, the cores' pipes and FPUs, the gang window, the
+//! barriers, and the event queue and probe that both sides use. Handlers
+//! keep a fixed order of event pushes and probe calls: same-tick events pop
+//! in scheduling order, and the golden probe digests fold the call order.
+//!
 //! ## One memory path, two admission disciplines
 //!
 //! Memory controllers are first-class event sources: the event queue
@@ -75,13 +86,13 @@
 //! end, so the window cannot deadlock).
 
 use crate::cache::{Access, L2Cache};
-use crate::config::ChipConfig;
+use crate::config::{ChipConfig, CoreConfig};
 use crate::mc::MemController;
-use crate::policy::{MemRequest, ReqClass};
+use crate::policy::{MemRequest, QueuePolicy, ReqClass};
 use crate::queue::EventQueue;
 use crate::stats::SimStats;
 use crate::trace::{Op, Program};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use t2opt_core::mapping::PageHomes;
 use t2opt_telemetry::probe::{NoProbe, SimProbe, StallKind};
 use t2opt_telemetry::timeline::{Timeline, TimelineRecorder, TraceConfig};
@@ -148,6 +159,125 @@ enum Ev {
     Thread(u32),
     /// Run controller `mc`'s arbitration step.
     McArb(u32),
+}
+
+/// One memory controller: its channel model and its queue state.
+struct McState {
+    ctl: MemController,
+    /// Admitted requests awaiting arbitration (always empty under FIFO,
+    /// which services at admission). Each occupies a queue slot until its
+    /// transfer *completes*.
+    pending: Vec<MemRequest>,
+    /// Completion times of serviced transfers still occupying a queue slot.
+    inflight: VecDeque<u64>,
+    /// Threads NACKed while every slot occupant was unresolved (no retry
+    /// time computable); released at the next service.
+    retry: Vec<u32>,
+    /// Earliest scheduled arbitration wake-up (event dedup).
+    arb_at: Option<u64>,
+}
+
+/// One L2 bank: its busy horizon and its miss buffers (MSHRs).
+#[derive(Default)]
+struct BankState {
+    /// Cycle at which the bank's last accepted access ends.
+    busy: u64,
+    /// Misses holding an MSHR whose transfer is not yet serviced.
+    pending: usize,
+    /// Completion times of serviced misses still holding an MSHR.
+    inflight: VecDeque<u64>,
+    /// Threads NACKed on a full MSHR file with no resolved entry.
+    retry: Vec<u32>,
+}
+
+/// The memory side of a run (see the module docs).
+struct MemSystem {
+    /// Owned rather than borrowed: the hot paths read it on every op, and a
+    /// borrow costs a pointer chase per read.
+    cfg: ChipConfig,
+    /// FIFO services at admission, other policies at [`Ev::McArb`] events.
+    fifo: bool,
+    policy: Box<dyn QueuePolicy>,
+    stats: SimStats,
+    cache: L2Cache,
+    banks: Vec<BankState>,
+    mcs: Vec<McState>,
+    /// Global admission sequence: id order is age order for the policies.
+    next_req: u64,
+    // NUMA state, inert on single-socket chips. On a multi-socket chip the
+    // raw mapping picks the *local* controller shape (`raw % mps`); the
+    // page's home socket picks which socket's group serves it. Remote
+    // transfers additionally occupy the shared inter-socket link (one
+    // global busy horizon — the coarse link-occupancy approximation of
+    // DESIGN §14) and pay the remote latency adder. When `numa_on` is false
+    // none of this code runs and the engine is statement-for-statement the
+    // single-socket machine.
+    numa_on: bool,
+    homes: PageHomes,
+    /// Cycle at which the inter-socket link frees.
+    link_busy: u64,
+}
+
+/// One hardware thread.
+struct ThreadState {
+    core: usize,
+    socket: u32,
+    program: Program,
+    /// The op taken from `program` that could not issue yet.
+    pending: Option<Op>,
+    /// Completion times of outstanding load misses.
+    loads: VecDeque<u64>,
+    /// Completion times of in-flight store RFOs (buffer entries).
+    stores: VecDeque<u64>,
+    /// Issued load misses not yet serviced (their completion times do not
+    /// exist yet).
+    loads_pending: usize,
+    /// Issued store RFOs not yet serviced.
+    stores_pending: usize,
+    /// Latest completion over everything this thread issued.
+    drain_until: u64,
+    /// Set while the thread has no scheduled wake-up: the stall it parked
+    /// on and since when, which [`Threads::wake`] reports. Barriers and the
+    /// gang window (`Drift`) park threads, and so, under arbitrated policies
+    /// only, do a NACK or a full budget whose release time is still
+    /// unknowable (`Nack`, `LoadMiss`, `StoreBuffer`).
+    park: Option<(StallKind, u64)>,
+    finished: bool,
+}
+
+/// One barrier's arrivals so far.
+#[derive(Default)]
+struct BarrierState {
+    arrivals: usize,
+    /// The latest arrival: when the barrier releases.
+    release: u64,
+    waiters: Vec<u32>,
+}
+
+/// The thread table: the thread side of a run (see the module docs).
+struct Threads<'p, P> {
+    /// Owned, like [`MemSystem::cfg`].
+    core: CoreConfig,
+    /// Completion lists keep admission order (see [`drop_completed`]).
+    fifo: bool,
+    q: EventQueue<Ev>,
+    probe: &'p mut P,
+    ts: Vec<ThreadState>,
+    /// When each memory pipe frees, `mem_pipes` per core.
+    pipes: Vec<u64>,
+    /// When each core's FPU frees.
+    fpu_busy: Vec<u64>,
+    barriers: HashMap<u32, BarrierState>,
+    /// The barrier whose release opens the measurement window.
+    measure_after_barrier: Option<u32>,
+    // Gang drift window: per-thread memory-op counts, gang membership, and
+    // the current minimum over members. Threads leave the gang when they
+    // finish or park at a barrier (else a short-program thread would
+    // freeze the window and deadlock the rest).
+    gang_count: Vec<u64>,
+    in_gang: Vec<bool>,
+    gang_min: u64,
+    drift_parked: Vec<u32>,
 }
 
 impl Simulation {
@@ -263,8 +393,7 @@ impl Simulation {
     /// As [`Simulation::run`].
     pub fn run_with_probe<P: SimProbe>(&self, threads: Vec<ThreadSpec>, probe: &mut P) -> SimStats {
         let cfg = &self.cfg;
-        let n_threads = threads.len();
-        assert!(n_threads > 0, "need at least one thread");
+        assert!(!threads.is_empty(), "need at least one thread");
         let mut occupancy = vec![0usize; cfg.core.n_cores];
         for t in &threads {
             assert!(
@@ -282,718 +411,41 @@ impl Simulation {
             );
         }
 
-        let line_bytes = cfg.l2.line as u64;
-        let mut stats = SimStats::new(cfg.n_controllers(), cfg.n_banks());
-        let mut cache = L2Cache::new(&cfg.l2);
-        let mut mcs: Vec<MemController> = (0..cfg.n_controllers())
-            .map(|i| MemController::new_seeded(&cfg.mem, i as u64 + 1))
-            .collect();
-        // ---- Controller and bank queue state ----
-        /// One controller's queue state.
-        struct McState {
-            /// The socket this controller belongs to (contiguous groups of
-            /// `mcs_per_socket`; always 0 on single-socket chips).
-            socket: u32,
-            /// Admitted requests awaiting arbitration (always empty under
-            /// FIFO, which services at admission). Each occupies a queue
-            /// slot until its transfer *completes*.
-            pending: Vec<MemRequest>,
-            /// Completion times of serviced transfers still occupying a
-            /// queue slot.
-            inflight: VecDeque<u64>,
-            /// Threads NACKed while every slot occupant was unresolved
-            /// (no retry time computable); released at the next service.
-            retry: Vec<u32>,
-            /// Earliest scheduled arbitration wake-up (event dedup).
-            arb_at: Option<u64>,
-        }
-        /// One L2 bank's MSHR state.
-        struct BankState {
-            /// Misses holding an MSHR whose transfer is not yet serviced.
-            pending: usize,
-            /// Completion times of serviced misses still holding an MSHR.
-            inflight: VecDeque<u64>,
-            /// Threads NACKed on a full MSHR file with no resolved entry.
-            retry: Vec<u32>,
-        }
-        let fifo = cfg.policy.is_fifo();
-        let policy = cfg.policy.build();
-        let mut mc_st: Vec<McState> = (0..cfg.n_controllers())
-            .map(|i| McState {
-                socket: cfg.socket_of_controller(i) as u32,
-                pending: Vec::new(),
-                inflight: VecDeque::new(),
-                retry: Vec::new(),
-                arb_at: None,
-            })
-            .collect();
-        let mut bank_st: Vec<BankState> = (0..cfg.n_banks())
-            .map(|_| BankState {
-                pending: 0,
-                inflight: VecDeque::new(),
-                retry: Vec::new(),
-            })
-            .collect();
-        // Global admission sequence: id order is age order for the policies.
-        let mut next_req = 0u64;
-        // Scratch buffers for the arbitration step.
-        let mut elig_idx: Vec<usize> = Vec::new();
-        let mut elig_req: Vec<MemRequest> = Vec::new();
-        let queue_depth = cfg.mem.queue_depth;
-        let mshr_per_bank = cfg.l2.mshr_per_bank.max(1);
-        let mut bank_busy = vec![0u64; cfg.n_banks()];
-        let mut fpu_busy = vec![0u64; cfg.core.n_cores];
-        let mut pipes: Vec<Vec<u64>> = vec![vec![0u64; cfg.core.mem_pipes]; cfg.core.n_cores];
-
-        // ---- NUMA state (inert on single-socket chips) ----
-        // On a multi-socket chip the raw mapping picks the *local* controller
-        // shape (`raw % mps`); the page's home socket picks which socket's
-        // group serves it. Remote transfers additionally occupy the shared
-        // inter-socket link (one global busy horizon — the coarse
-        // link-occupancy approximation of DESIGN §14) and pay the remote
-        // latency adder. When `numa_on` is false none of this code runs and
-        // the engine is statement-for-statement the single-socket machine.
-        let numa_on = cfg.numa.is_numa();
-        let mps = cfg.mcs_per_socket();
-        let numa_link_cycles = cfg.numa.link_cycles_per_line;
-        let numa_read_extra = cfg.numa.remote_read_extra;
-        let numa_write_extra = cfg.numa.remote_write_extra;
-        let mut homes = PageHomes::new(cfg.placement, cfg.numa.n_sockets, cfg.numa.page_bytes);
-        let mut link_busy = 0u64;
-        let core_socket: Vec<u32> = (0..cfg.core.n_cores)
-            .map(|c| cfg.socket_of_core(c) as u32)
-            .collect();
-
-        /// Why a thread currently has no scheduled wake-up.
-        #[derive(PartialEq, Eq)]
-        enum Wait {
-            /// Runnable (wake-up scheduled).
-            None,
-            /// Parked at a barrier (woken by the last arriver).
-            Barrier,
-            /// Parked by the gang drift window (woken by gang progress).
-            Drift,
-            /// Parked on a full load/store budget whose release time is
-            /// unresolved (arbitrated policies only); woken when one of
-            /// the thread's own requests is serviced.
-            Data,
-            /// NACKed with no computable retry time (arbitrated policies
-            /// only); parked on the controller's / bank's retry list and
-            /// woken by its next service.
-            Retry,
-        }
-        struct ThreadState {
-            core: usize,
-            program: Program,
-            pending: Option<Op>,
-            /// Completion times of outstanding load misses.
-            loads: VecDeque<u64>,
-            /// Completion times of in-flight store RFOs (buffer entries).
-            stores: VecDeque<u64>,
-            /// Issued load misses not yet serviced (their completion times
-            /// do not exist yet).
-            loads_pending: usize,
-            /// Issued store RFOs not yet serviced.
-            stores_pending: usize,
-            /// Latest completion over everything this thread issued.
-            drain_until: u64,
-            wait: Wait,
-            /// Cycle at which the thread parked (barrier/drift/data/retry),
-            /// for the stall probes.
-            park_start: u64,
-            /// What the thread is parked on ([`Wait::Data`]/[`Wait::Retry`]),
-            /// for the stall probes.
-            park_kind: StallKind,
-            finished: bool,
-        }
-        let mut ts: Vec<ThreadState> = threads
-            .into_iter()
-            .map(|t| ThreadState {
-                core: t.core,
-                program: t.program,
-                pending: None,
-                loads: VecDeque::new(),
-                stores: VecDeque::new(),
-                loads_pending: 0,
-                stores_pending: 0,
-                drain_until: 0,
-                wait: Wait::None,
-                park_start: 0,
-                park_kind: StallKind::LoadMiss,
-                finished: false,
-            })
-            .collect();
-        let store_buffer = cfg.core.store_buffer.max(1);
-        let outstanding_limit = cfg.core.outstanding_misses;
-
-        struct BarrierState {
-            arrivals: usize,
-            release: u64,
-            waiters: Vec<u32>,
-        }
-        let mut barriers: std::collections::HashMap<u32, BarrierState> =
-            std::collections::HashMap::new();
-
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        for tid in 0..n_threads {
-            q.push(0, Ev::Thread(tid as u32));
-        }
-        let mut live = n_threads;
-
-        // Gang drift window: per-thread memory-op counts, gang membership,
-        // and the current minimum over members. Threads leave the gang when
-        // they finish or park at a barrier (else a short-program thread
-        // would freeze the window and deadlock the rest).
-        let gang_window = cfg.core.gang_window.map(u64::from);
-        let mut gang_count = vec![0u64; n_threads];
-        let mut in_gang = vec![true; n_threads];
-        let mut gang_min = 0u64;
-        let mut drift_parked: Vec<u32> = Vec::new();
-
-        // Recomputes the gang minimum and wakes drift-parked threads that
-        // are back inside the window. Invoked whenever a count or a
-        // membership changes at the current minimum.
-        macro_rules! gang_update {
-            ($now:expr) => {{
-                let new_min = gang_count
-                    .iter()
-                    .zip(in_gang.iter())
-                    .filter(|&(_, &g)| g)
-                    .map(|(&c, _)| c)
-                    .min()
-                    .unwrap_or(u64::MAX);
-                if new_min != gang_min {
-                    gang_min = new_min;
-                    if let Some(w) = gang_window {
-                        let now = $now;
-                        drift_parked.retain(|&p| {
-                            if gang_count[p as usize] < gang_min.saturating_add(w) {
-                                probe.stall(p, StallKind::Drift, ts[p as usize].park_start, now);
-                                ts[p as usize].wait = Wait::None;
-                                q.push(now, Ev::Thread(p));
-                                false
-                            } else {
-                                true
-                            }
-                        });
-                    }
-                }
-            }};
-        }
-
-        // Schedules controller `mci`'s next arbitration wake-up at `at`,
-        // deduplicating against an earlier-or-equal one already queued.
-        macro_rules! sched_arb {
-            ($mci:expr, $at:expr) => {{
-                let mci = $mci;
-                let at = $at;
-                let st = &mut mc_st[mci];
-                if st.arb_at.map_or(true, |t| at < t) {
-                    st.arb_at = Some(at);
-                    q.push(at, Ev::McArb(mci as u32));
-                }
-            }};
-        }
-
-        // The service step: controller `mci` services `req`, reported at
-        // `now`; the channel starts at `now.max(req.arrival)`, which differs
-        // from `now` only for a remote write-back FIFO services at
-        // admission, before its line has crossed the link. The queue slot
-        // and, for a demand read or RFO, the MSHR and the owner's budget
-        // entry resolve to the transfer's completion.
-        macro_rules! service {
-            ($mci:expr, $req:expr, $now:expr) => {{
-                let mci: usize = $mci;
-                let req: MemRequest = $req;
-                let now: u64 = $now;
-                let start = now.max(req.arrival);
-                let out = if req.is_read() {
-                    mcs[mci].service_read(start)
-                } else {
-                    mcs[mci].service_write(start)
-                };
-                stats.mc_busy_cycles[mci] += out.busy_added;
-                mc_st[mci].inflight.push_back(out.completion);
-                probe.mc_service(
-                    mci,
-                    now,
-                    out.busy_added,
-                    mc_st[mci].pending.len() + mc_st[mci].inflight.len(),
-                    !req.is_read(),
-                );
-                if !fifo {
-                    // Every older request that was ready and passed over
-                    // counts one step toward its starvation cap.
-                    for p in mc_st[mci].pending.iter_mut() {
-                        if p.arrival <= now && p.id < req.id {
-                            p.bypassed = p.bypassed.saturating_add(1);
-                        }
-                    }
-                    // The queue slot and MSHR free when this transfer
-                    // completes: that resolves the retry time for threads
-                    // NACKed while every occupant was unresolved (which
-                    // FIFO, resolving at admission, never has).
-                    let slot_free = out.completion.max(now + 1);
-                    let mut released = std::mem::take(&mut mc_st[mci].retry);
-                    if let Some(b) = req.bank {
-                        released.append(&mut bank_st[b].retry);
-                    }
-                    for w in released {
-                        probe.stall(w, StallKind::Nack, ts[w as usize].park_start, slot_free);
-                        ts[w as usize].wait = Wait::None;
-                        q.push(slot_free, Ev::Thread(w));
-                    }
-                }
-                if let (Some(b), Some(owner)) = (req.bank, req.tid) {
-                    // A demand read or RFO: the MSHR it holds resolves, and
-                    // so does the owner thread's wait time. A remote line
-                    // still has to cross the shared inter-socket link
-                    // (occupancy + remote latency adder) before the
-                    // owner's socket sees it.
-                    let completion =
-                        if numa_on && mc_st[mci].socket != core_socket[ts[owner as usize].core] {
-                            let ls = out.completion.max(link_busy);
-                            link_busy = ls + numa_link_cycles;
-                            link_busy + numa_read_extra
-                        } else {
-                            out.completion
-                        };
-                    bank_st[b].pending -= 1;
-                    bank_st[b].inflight.push_back(completion);
-                    let t = &mut ts[owner as usize];
-                    let ready = if req.class == ReqClass::StoreRfo {
-                        t.stores_pending -= 1;
-                        t.stores.push_back(completion);
-                        completion
-                    } else {
-                        t.loads_pending -= 1;
-                        let data_ready = completion + cfg.mem.extra_latency;
-                        t.loads.push_back(data_ready);
-                        data_ready
-                    };
-                    t.drain_until = t.drain_until.max(ready);
-                    if t.finished {
-                        // The owner ran off the end of its program with
-                        // this request still in flight: extend the drain.
-                        stats.end_cycle = stats.end_cycle.max(t.drain_until);
-                    } else if t.wait == Wait::Data {
-                        let kind = t.park_kind;
-                        let start = t.park_start;
-                        t.wait = Wait::None;
-                        probe.stall(owner, kind, start, ready);
-                        q.push(ready, Ev::Thread(owner));
-                    }
-                }
-            }};
-        }
-
-        // Admission of `req`, which left its L2 bank at `now`. FIFO's
-        // service order can never depend on later arrivals, so FIFO
-        // services the request on the spot and never schedules a
-        // controller event. Arbitrated policies park it in the
-        // controller's pending queue and schedule arbitration for when
-        // both the request and the southbound channel can be ready.
-        macro_rules! admit {
-            ($mci:expr, $req:expr, $now:expr) => {{
-                let mci = $mci;
-                let req: MemRequest = $req;
-                if fifo {
-                    service!(mci, req, $now);
-                } else {
-                    let at = req.arrival.max(mcs[mci].south_busy);
-                    mc_st[mci].pending.push(req);
-                    sched_arb!(mci, at);
-                }
-            }};
-        }
-
-        while let Some((now, ev)) = q.pop() {
+        let mut mem = MemSystem::new(cfg);
+        let mut thr = Threads::new(self, threads, probe);
+        while let Some((now, ev)) = thr.q.pop() {
             let tid = match ev {
                 Ev::Thread(tid) => tid,
-                Ev::McArb(mci) => {
-                    // ===== Controller arbitration step =====
-                    let mci = mci as usize;
-                    {
-                        let st = &mut mc_st[mci];
-                        if st.arb_at == Some(now) {
-                            st.arb_at = None;
-                        }
-                        if st.pending.is_empty() {
-                            continue;
-                        }
-                    }
-                    // Don't reserve a busy southbound channel: selecting
-                    // now would commit an order before later arrivals are
-                    // seen — the exact FIFO behavior the policies exist to
-                    // avoid. Re-arbitrate when the channel frees.
-                    let south = mcs[mci].south_busy;
-                    if south > now {
-                        sched_arb!(mci, south);
-                        continue;
-                    }
-                    // Requests that have actually arrived are eligible.
-                    elig_idx.clear();
-                    elig_req.clear();
-                    let next_arrival = {
-                        let st = &mc_st[mci];
-                        for (i, r) in st.pending.iter().enumerate() {
-                            if r.arrival <= now {
-                                elig_idx.push(i);
-                                elig_req.push(r.clone());
-                            }
-                        }
-                        if elig_idx.is_empty() {
-                            Some(
-                                st.pending
-                                    .iter()
-                                    .map(|r| r.arrival)
-                                    .min()
-                                    .expect("pending is non-empty"),
-                            )
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some(at) = next_arrival {
-                        sched_arb!(mci, at);
-                        continue;
-                    }
-                    // One service slot: the policy picks, the service step
-                    // resolves the completion time.
-                    let sel = policy.select(&elig_req);
-                    assert!(
-                        sel < elig_req.len(),
-                        "policy {} returned out-of-range index {sel} ({} eligible)",
-                        policy.name(),
-                        elig_req.len()
-                    );
-                    let req = mc_st[mci].pending.swap_remove(elig_idx[sel]);
-                    service!(mci, req, now);
-                    if !mc_st[mci].pending.is_empty() {
-                        let south = mcs[mci].south_busy;
-                        let min_arr = mc_st[mci]
-                            .pending
-                            .iter()
-                            .map(|r| r.arrival)
-                            .min()
-                            .expect("pending is non-empty");
-                        sched_arb!(mci, south.max(min_arr).max(now));
-                    }
+                Ev::McArb(mc) => {
+                    mem.arbitrate(mc as usize, now, &mut thr);
                     continue;
                 }
             };
-            let op = match ts[tid as usize].pending.take() {
-                Some(op) => op,
-                None => match ts[tid as usize].program.next() {
-                    Some(op) => op,
-                    None => {
-                        {
-                            let t = &mut ts[tid as usize];
-                            t.finished = true;
-                            live -= 1;
-                            stats.end_cycle = stats.end_cycle.max(now).max(t.drain_until);
-                        }
-                        in_gang[tid as usize] = false;
-                        gang_update!(now);
-                        continue;
-                    }
-                },
+            let t = &mut thr.ts[tid as usize];
+            let Some(op) = t.pending.take().or_else(|| t.program.next()) else {
+                thr.finish(tid, now, &mut mem.stats);
+                continue;
             };
-            let core = ts[tid as usize].core;
             match op {
-                Op::Delay(c) => {
-                    q.push(now + c as u64, Ev::Thread(tid));
-                }
-                Op::Compute(flops) => {
-                    let cycles = (flops as f64 / cfg.core.fpu_flops_per_cycle)
-                        .ceil()
-                        .max(1.0) as u64;
-                    let start = now.max(fpu_busy[core]);
-                    if start > now {
-                        probe.stall(tid, StallKind::Fpu, now, start);
-                    }
-                    fpu_busy[core] = start + cycles;
-                    stats.flops += flops as u64;
-                    q.push(start + cycles, Ev::Thread(tid));
-                }
-                Op::Barrier(id) => {
-                    let b = barriers.entry(id).or_insert(BarrierState {
-                        arrivals: 0,
-                        release: 0,
-                        waiters: Vec::new(),
-                    });
-                    b.arrivals += 1;
-                    b.release = b.release.max(now);
-                    if b.arrivals == n_threads {
-                        let release = b.release;
-                        let waiters = std::mem::take(&mut b.waiters);
-                        for &w in &waiters {
-                            probe.stall(w, StallKind::Barrier, ts[w as usize].park_start, release);
-                            ts[w as usize].wait = Wait::None;
-                            in_gang[w as usize] = true;
-                            q.push(release, Ev::Thread(w));
-                        }
-                        q.push(release, Ev::Thread(tid));
-                        probe.barrier_release(id, release);
-                        if self.measure_after_barrier == Some(id) {
-                            stats.reset_window(release);
-                            probe.window_reset(release);
-                        }
-                        gang_update!(release);
-                    } else {
-                        ts[tid as usize].wait = Wait::Barrier;
-                        ts[tid as usize].park_start = now;
-                        b.waiters.push(tid);
-                        // Leave the gang while parked, else a straggler on
-                        // the way to the barrier could deadlock the window.
-                        in_gang[tid as usize] = false;
-                        gang_update!(now);
-                    }
-                }
-                Op::Read(addr) | Op::Write(addr) => {
-                    let is_write = matches!(op, Op::Write(_));
-                    // Gang drift window: a thread too far ahead of the
-                    // slowest gang member parks until the gang catches up.
-                    if let Some(w) = gang_window {
-                        if in_gang[tid as usize]
-                            && gang_count[tid as usize] >= gang_min.saturating_add(w)
-                        {
-                            ts[tid as usize].pending = Some(op);
-                            ts[tid as usize].wait = Wait::Drift;
-                            ts[tid as usize].park_start = now;
-                            drift_parked.push(tid);
-                            continue;
-                        }
-                    }
-                    // Budget check: a load needs an outstanding-miss slot, a
-                    // store a TSO store-buffer entry. When the budget is
-                    // full the thread waits for the next entry to complete;
-                    // if no entry is serviced yet (arbitrated policies) that
-                    // time is unknowable, so it parks until one of its own
-                    // requests is serviced.
-                    if !is_write {
-                        let t = &mut ts[tid as usize];
-                        drop_completed(fifo, &mut t.loads, now);
-                        if t.loads.len() + t.loads_pending >= outstanding_limit {
-                            t.pending = Some(op);
-                            if let Some(wake) = slot_frees_at(fifo, &t.loads, outstanding_limit) {
-                                probe.stall(tid, StallKind::LoadMiss, now, wake);
-                                q.push(wake, Ev::Thread(tid));
-                            } else {
-                                t.wait = Wait::Data;
-                                t.park_kind = StallKind::LoadMiss;
-                                t.park_start = now;
-                            }
-                            continue;
-                        }
-                    } else {
-                        let t = &mut ts[tid as usize];
-                        drop_completed(fifo, &mut t.stores, now);
-                        if t.stores.len() + t.stores_pending >= store_buffer {
-                            t.pending = Some(op);
-                            if let Some(wake) = slot_frees_at(fifo, &t.stores, store_buffer) {
-                                probe.stall(tid, StallKind::StoreBuffer, now, wake);
-                                q.push(wake, Ev::Thread(tid));
-                            } else {
-                                t.wait = Wait::Data;
-                                t.park_kind = StallKind::StoreBuffer;
-                                t.park_start = now;
-                            }
-                            continue;
-                        }
-                    }
-                    // Memory-pipe issue slot.
-                    let (pipe_idx, &pipe_free) = pipes[core]
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &b)| b)
-                        .expect("mem_pipes > 0");
-                    if pipe_free > now {
-                        ts[tid as usize].pending = Some(op);
-                        probe.stall(tid, StallKind::Pipe, now, pipe_free);
-                        q.push(pipe_free, Ev::Thread(tid));
-                        continue;
-                    }
-                    let bank = cfg.map.bank(addr) as usize;
-                    let raw_mc = cfg.map.controller(addr) as usize;
-                    let my_sock = core_socket[core];
-                    // NUMA: the page's home socket selects the controller
-                    // group; the raw mapping selects the controller within
-                    // it. The remote link and latency are charged by the
-                    // service step, where the completion is resolved.
-                    let mc = if numa_on {
-                        homes.home(addr, my_sock) as usize * mps + raw_mc % mps
-                    } else {
-                        raw_mc
-                    };
-                    // NACK checks: a miss needs a controller-queue slot and
-                    // a bank miss buffer; if either is full the request is
-                    // rejected and retried when the blocking entry
-                    // completes. The probe occupies the pipe like any other
-                    // access.
-                    if !cache.contains(addr) {
-                        let (ms, bs) = (&mut mc_st[mc], &mut bank_st[bank]);
-                        drop_completed(fifo, &mut ms.inflight, now);
-                        drop_completed(fifo, &mut bs.inflight, now);
-                        let mc_full = ms.pending.len() + ms.inflight.len() >= queue_depth;
-                        let bank_full = bs.pending + bs.inflight.len() >= mshr_per_bank;
-                        if mc_full || bank_full {
-                            stats.nacks += 1;
-                            ts[tid as usize].pending = Some(op);
-                            pipes[core][pipe_idx] = now + 2;
-                            probe.nack(now, tid, mc, bank, mc_full);
-                            let known = if mc_full {
-                                slot_frees_at(fifo, &ms.inflight, queue_depth)
-                            } else {
-                                slot_frees_at(fifo, &bs.inflight, mshr_per_bank)
-                            };
-                            match known {
-                                Some(wake) => {
-                                    let retry_at = wake.max(now + 1);
-                                    probe.stall(tid, StallKind::Nack, now, retry_at);
-                                    q.push(retry_at, Ev::Thread(tid));
-                                }
-                                None => {
-                                    let t = &mut ts[tid as usize];
-                                    t.wait = Wait::Retry;
-                                    t.park_kind = StallKind::Nack;
-                                    t.park_start = now;
-                                    if mc_full {
-                                        ms.retry.push(tid);
-                                    } else {
-                                        bs.retry.push(tid);
-                                    }
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                    pipes[core][pipe_idx] = now + 1;
-                    // L2 bank access.
-                    let bank_start = (now + 1).max(bank_busy[bank]);
-                    bank_busy[bank] = bank_start + cfg.l2.bank_cycles;
-                    stats.bank_accesses[bank] += 1;
-                    stats.mem_ops += 1;
-                    probe.bank_access(bank, bank_start);
-                    // The op is committed: advance this thread's gang
-                    // progress.
-                    let old_count = gang_count[tid as usize];
-                    gang_count[tid as usize] += 1;
-                    if old_count == gang_min {
-                        gang_update!(now);
-                    }
-                    let bank_done = bank_start + cfg.l2.bank_cycles;
-                    match cache.access(addr, is_write) {
-                        Access::Hit => {
-                            stats.l2_hits += 1;
-                            // A store hit retires through the store buffer:
-                            // the thread moves on at once.
-                            let resume = if is_write {
-                                bank_done
-                            } else {
-                                bank_start + cfg.l2.hit_latency
-                            };
-                            q.push(resume, Ev::Thread(tid));
-                        }
-                        Access::Miss { writeback } => {
-                            stats.l2_misses += 1;
-                            if let Some(victim) = writeback {
-                                // Write-backs come from the L2's eviction
-                                // buffers: southbound transfer, no bank
-                                // MSHR, no thread wait. A remote victim's
-                                // line crosses the inter-socket link before
-                                // its home controller can serve it.
-                                let vraw = cfg.map.controller(victim) as usize;
-                                let (vmc, varrive) = if numa_on {
-                                    let vh = homes.home(victim, my_sock);
-                                    let arr = if vh != my_sock {
-                                        let ls = bank_done.max(link_busy);
-                                        link_busy = ls + numa_link_cycles;
-                                        link_busy + numa_write_extra
-                                    } else {
-                                        bank_done
-                                    };
-                                    (vh as usize * mps + vraw % mps, arr)
-                                } else {
-                                    (vraw, bank_done)
-                                };
-                                stats.mc_write_bytes[vmc] += line_bytes;
-                                stats.l2_writebacks += 1;
-                                next_req += 1;
-                                admit!(
-                                    vmc,
-                                    MemRequest {
-                                        id: next_req,
-                                        arrival: varrive,
-                                        class: ReqClass::Writeback,
-                                        tid: None,
-                                        bank: None,
-                                        bypassed: 0,
-                                    },
-                                    bank_done
-                                );
-                            }
-                            // The miss holds an MSHR and a budget entry
-                            // until the service step resolves it.
-                            stats.mc_read_bytes[mc] += line_bytes;
-                            bank_st[bank].pending += 1;
-                            if is_write {
-                                ts[tid as usize].stores_pending += 1;
-                            } else {
-                                ts[tid as usize].loads_pending += 1;
-                            }
-                            next_req += 1;
-                            admit!(
-                                mc,
-                                MemRequest {
-                                    id: next_req,
-                                    arrival: bank_done,
-                                    class: if is_write {
-                                        ReqClass::StoreRfo
-                                    } else {
-                                        ReqClass::DemandRead
-                                    },
-                                    tid: Some(tid),
-                                    bank: Some(bank),
-                                    bypassed: 0,
-                                },
-                                bank_done
-                            );
-                            let t = &mut ts[tid as usize];
-                            if !is_write && t.loads.len() + t.loads_pending >= outstanding_limit {
-                                // Budget full (the T2 case): block until the
-                                // data returns.
-                                match slot_frees_at(fifo, &t.loads, outstanding_limit) {
-                                    Some(wake) => {
-                                        probe.stall(tid, StallKind::LoadMiss, bank_done, wake);
-                                        q.push(wake, Ev::Thread(tid));
-                                    }
-                                    None => {
-                                        t.wait = Wait::Data;
-                                        t.park_kind = StallKind::LoadMiss;
-                                        t.park_start = bank_done;
-                                    }
-                                }
-                            } else {
-                                // A store miss's RFO drains from the store
-                                // buffer, so the thread moves on; so does a
-                                // load with hit-under-miss headroom
-                                // (ablations).
-                                q.push(bank_done, Ev::Thread(tid));
-                            }
-                        }
+                Op::Delay(c) => thr.q.push(now + c as u64, Ev::Thread(tid)),
+                Op::Compute(flops) => thr.compute(tid, flops, now, &mut mem.stats),
+                Op::Barrier(id) => thr.barrier(tid, id, now, &mut mem.stats),
+                Op::Read(_) | Op::Write(_) => {
+                    if let Some(pipe) = thr.issue_slot(tid, op, now) {
+                        thr.pipes[pipe] = now + mem.issue(tid, op, now, &mut thr);
                     }
                 }
             }
         }
 
+        let live = thr.ts.iter().filter(|t| !t.finished).count();
         assert_eq!(
             live, 0,
             "deadlock: {live} thread(s) never finished (barrier mismatch?)"
         );
         // Request conservation: every admitted request was serviced exactly
         // once, every MSHR released, every parked thread released.
-        for (i, st) in mc_st.iter().enumerate() {
+        for (i, st) in mem.mcs.iter().enumerate() {
             assert!(
                 st.pending.is_empty(),
                 "conservation: controller {i} still holds {} unserviced request(s)",
@@ -1005,7 +457,7 @@ impl Simulation {
                 st.retry.len()
             );
         }
-        for (i, b) in bank_st.iter().enumerate() {
+        for (i, b) in mem.banks.iter().enumerate() {
             assert_eq!(
                 b.pending, 0,
                 "conservation: bank {i} MSHRs still track unserviced misses"
@@ -1015,14 +467,556 @@ impl Simulation {
                 "conservation: bank {i} still parks NACKed threads"
             );
         }
-        for (i, t) in ts.iter().enumerate() {
+        for (i, t) in thr.ts.iter().enumerate() {
             assert_eq!(
                 t.loads_pending + t.stores_pending,
                 0,
                 "conservation: thread {i} ended with unresolved requests"
             );
         }
-        stats
+        mem.stats
+    }
+}
+
+impl MemSystem {
+    fn new(cfg: &ChipConfig) -> Self {
+        MemSystem {
+            cfg: cfg.clone(),
+            fifo: cfg.policy.is_fifo(),
+            policy: cfg.policy.build(),
+            stats: SimStats::new(cfg.n_controllers(), cfg.n_banks()),
+            cache: L2Cache::new(&cfg.l2),
+            banks: (0..cfg.n_banks()).map(|_| BankState::default()).collect(),
+            mcs: (0..cfg.n_controllers())
+                .map(|i| McState {
+                    ctl: MemController::new_seeded(&cfg.mem, i as u64 + 1),
+                    pending: Vec::new(),
+                    inflight: VecDeque::new(),
+                    retry: Vec::new(),
+                    arb_at: None,
+                })
+                .collect(),
+            next_req: 0,
+            numa_on: cfg.numa.is_numa(),
+            homes: PageHomes::new(cfg.placement, cfg.numa.n_sockets, cfg.numa.page_bytes),
+            link_busy: 0,
+        }
+    }
+
+    /// The controller that serves `addr` for a thread on socket `sock`.
+    #[inline(always)]
+    fn home_controller(&mut self, addr: u64, sock: u32) -> usize {
+        let raw = self.cfg.map.controller(addr) as usize;
+        if self.numa_on {
+            let mps = self.cfg.mcs_per_socket();
+            self.homes.home(addr, sock) as usize * mps + raw % mps
+        } else {
+            raw
+        }
+    }
+
+    /// When a line leaving one end of a transfer between controller `mc` and
+    /// socket `sock` at `at` reaches the other, remote latency adder `extra`
+    /// included.
+    #[inline(always)]
+    fn deliver(&mut self, mc: usize, sock: u32, at: u64, extra: u64) -> u64 {
+        if self.numa_on && self.cfg.socket_of_controller(mc) as u32 != sock {
+            self.link_busy = at.max(self.link_busy) + self.cfg.numa.link_cycles_per_line;
+            self.link_busy + extra
+        } else {
+            at
+        }
+    }
+
+    /// Issues thread `tid`'s memory op `op` from a free pipe at `now`:
+    /// NUMA remap, NACK check, bank access, gang progress, L2 lookup,
+    /// write-back routing and miss admission. Returns the cycles the access
+    /// holds its pipe.
+    fn issue<P: SimProbe>(&mut self, tid: u32, op: Op, now: u64, thr: &mut Threads<P>) -> u64 {
+        let (Op::Read(addr) | Op::Write(addr)) = op else {
+            unreachable!("only memory ops issue")
+        };
+        let is_write = matches!(op, Op::Write(_));
+        let bank = self.cfg.map.bank(addr) as usize;
+        let my_sock = thr.ts[tid as usize].socket;
+        let mc = self.home_controller(addr, my_sock);
+        // NACK checks: a miss needs a controller-queue slot and a bank miss
+        // buffer; if either is full the request is rejected and retried
+        // when the blocking entry completes. The probe occupies the pipe
+        // like any other access, for two cycles.
+        if !self.cache.contains(addr) {
+            let (ms, bs) = (&mut self.mcs[mc], &mut self.banks[bank]);
+            drop_completed(self.fifo, &mut ms.inflight, now);
+            drop_completed(self.fifo, &mut bs.inflight, now);
+            let mc_full = ms.pending.len() + ms.inflight.len() >= self.cfg.mem.queue_depth;
+            let bank_full = bs.pending + bs.inflight.len() >= self.cfg.l2.mshr_per_bank;
+            if mc_full || bank_full {
+                self.stats.nacks += 1;
+                thr.probe.nack(now, tid, mc, bank, mc_full);
+                let (done, cap, retry) = if mc_full {
+                    (&ms.inflight, self.cfg.mem.queue_depth, &mut ms.retry)
+                } else {
+                    (&bs.inflight, self.cfg.l2.mshr_per_bank, &mut bs.retry)
+                };
+                match slot_frees_at(self.fifo, done, cap) {
+                    Some(free) => thr.stall(tid, StallKind::Nack, now, free.max(now + 1)),
+                    None => {
+                        thr.ts[tid as usize].park = Some((StallKind::Nack, now));
+                        retry.push(tid);
+                    }
+                }
+                return 2;
+            }
+        }
+        // L2 bank access.
+        let b = &mut self.banks[bank];
+        let bank_start = (now + 1).max(b.busy);
+        let bank_done = bank_start + self.cfg.l2.bank_cycles;
+        b.busy = bank_done;
+        self.stats.bank_accesses[bank] += 1;
+        self.stats.mem_ops += 1;
+        thr.probe.bank_access(bank, bank_start);
+        // The op is committed: advance this thread's gang progress.
+        thr.commit(tid, now);
+        match self.cache.access(addr, is_write) {
+            Access::Hit => {
+                self.stats.l2_hits += 1;
+                // A store hit retires through the store buffer: the thread
+                // moves on at once.
+                let resume = if is_write {
+                    bank_done
+                } else {
+                    bank_start + self.cfg.l2.hit_latency
+                };
+                thr.q.push(resume, Ev::Thread(tid));
+            }
+            Access::Miss { writeback } => {
+                self.stats.l2_misses += 1;
+                let line_bytes = self.cfg.l2.line as u64;
+                if let Some(victim) = writeback {
+                    // Write-backs come from the L2's eviction buffers:
+                    // southbound transfer, no bank MSHR, no thread wait. A
+                    // remote victim's line crosses the inter-socket link
+                    // before its home controller can serve it.
+                    let vmc = self.home_controller(victim, my_sock);
+                    let arrival =
+                        self.deliver(vmc, my_sock, bank_done, self.cfg.numa.remote_write_extra);
+                    self.stats.mc_write_bytes[vmc] += line_bytes;
+                    self.stats.l2_writebacks += 1;
+                    self.next_req += 1;
+                    let wb = MemRequest {
+                        id: self.next_req,
+                        arrival,
+                        class: ReqClass::Writeback,
+                        tid: None,
+                        bank: None,
+                        bypassed: 0,
+                    };
+                    self.admit(vmc, wb, bank_done, thr);
+                }
+                // The miss holds an MSHR and a budget entry until the
+                // service step resolves it.
+                self.stats.mc_read_bytes[mc] += line_bytes;
+                self.banks[bank].pending += 1;
+                let t = &mut thr.ts[tid as usize];
+                let class = if is_write {
+                    t.stores_pending += 1;
+                    ReqClass::StoreRfo
+                } else {
+                    t.loads_pending += 1;
+                    ReqClass::DemandRead
+                };
+                self.next_req += 1;
+                let miss = MemRequest {
+                    id: self.next_req,
+                    arrival: bank_done,
+                    class,
+                    tid: Some(tid),
+                    bank: Some(bank),
+                    bypassed: 0,
+                };
+                self.admit(mc, miss, bank_done, thr);
+                let t = &thr.ts[tid as usize];
+                if !is_write && t.loads.len() + t.loads_pending >= thr.core.outstanding_misses {
+                    // Budget full (the T2 case): block until the data
+                    // returns.
+                    thr.wait_for_slot(tid, StallKind::LoadMiss, bank_done);
+                } else {
+                    // A store miss's RFO drains from the store buffer, so
+                    // the thread moves on; so does a load with
+                    // hit-under-miss headroom (ablations).
+                    thr.q.push(bank_done, Ev::Thread(tid));
+                }
+            }
+        }
+        1
+    }
+
+    /// Admits `req`, which left its L2 bank at `now`, to controller `mc`.
+    /// FIFO's service order can never depend on later arrivals, so FIFO
+    /// services the request on the spot and never schedules a controller
+    /// event. Arbitrated policies park it in the controller's pending
+    /// queue and schedule arbitration for when both the request and the
+    /// southbound channel can be ready.
+    #[inline(always)]
+    fn admit<P: SimProbe>(&mut self, mc: usize, req: MemRequest, now: u64, thr: &mut Threads<P>) {
+        if self.fifo {
+            self.service(mc, req, now, thr);
+        } else {
+            let m = &mut self.mcs[mc];
+            let at = req.arrival.max(m.ctl.south_busy);
+            m.pending.push(req);
+            self.sched_arb(mc, at, &mut thr.q);
+        }
+    }
+
+    /// Schedules controller `mc`'s next arbitration step at `at`, unless
+    /// one at or before `at` is already queued.
+    fn sched_arb(&mut self, mc: usize, at: u64, q: &mut EventQueue<Ev>) {
+        let m = &mut self.mcs[mc];
+        if m.arb_at.is_none_or(|t| at < t) {
+            m.arb_at = Some(at);
+            q.push(at, Ev::McArb(mc as u32));
+        }
+    }
+
+    /// The service step: controller `mc` services `req`, reported at `now`;
+    /// the channel starts at `now.max(req.arrival)`, which differs from
+    /// `now` only for a remote write-back FIFO services at admission,
+    /// before its line has crossed the link. The queue slot and, for a
+    /// demand read or RFO, the MSHR and the owner's budget entry resolve to
+    /// the transfer's completion.
+    #[inline(always)]
+    fn service<P: SimProbe>(&mut self, mc: usize, req: MemRequest, now: u64, thr: &mut Threads<P>) {
+        let m = &mut self.mcs[mc];
+        let start = now.max(req.arrival);
+        let out = if req.is_read() {
+            m.ctl.service_read(start)
+        } else {
+            m.ctl.service_write(start)
+        };
+        self.stats.mc_busy_cycles[mc] += out.busy_added;
+        m.inflight.push_back(out.completion);
+        let queue_len = m.pending.len() + m.inflight.len();
+        thr.probe
+            .mc_service(mc, now, out.busy_added, queue_len, !req.is_read());
+        if !self.fifo {
+            // Every older request that was ready and passed over counts one
+            // step toward its starvation cap.
+            for p in m.pending.iter_mut() {
+                if p.arrival <= now && p.id < req.id {
+                    p.bypassed = p.bypassed.saturating_add(1);
+                }
+            }
+            // The queue slot and MSHR free when this transfer completes:
+            // that resolves the retry time for threads NACKed while every
+            // occupant was unresolved (which FIFO, resolving at admission,
+            // never has).
+            let slot_free = out.completion.max(now + 1);
+            for w in m.retry.drain(..) {
+                thr.wake(w, slot_free);
+            }
+            if let Some(b) = req.bank {
+                for w in self.banks[b].retry.drain(..) {
+                    thr.wake(w, slot_free);
+                }
+            }
+        }
+        if let (Some(b), Some(owner)) = (req.bank, req.tid) {
+            // A demand read or RFO: the MSHR it holds resolves, and so does
+            // the owner thread's wait time. A remote line still has to
+            // cross the link before the owner's socket sees it.
+            let sock = thr.ts[owner as usize].socket;
+            let completion =
+                self.deliver(mc, sock, out.completion, self.cfg.numa.remote_read_extra);
+            let bank = &mut self.banks[b];
+            bank.pending -= 1;
+            bank.inflight.push_back(completion);
+            let t = &mut thr.ts[owner as usize];
+            let ready = if req.class == ReqClass::StoreRfo {
+                t.stores_pending -= 1;
+                t.stores.push_back(completion);
+                completion
+            } else {
+                t.loads_pending -= 1;
+                let data_ready = completion + self.cfg.mem.extra_latency;
+                t.loads.push_back(data_ready);
+                data_ready
+            };
+            t.drain_until = t.drain_until.max(ready);
+            if t.finished {
+                // The owner ran off the end of its program with this
+                // request still in flight: extend the drain.
+                self.stats.end_cycle = self.stats.end_cycle.max(t.drain_until);
+            } else if let Some((StallKind::LoadMiss | StallKind::StoreBuffer, _)) = t.park {
+                thr.wake(owner, ready);
+            }
+        }
+    }
+
+    /// Controller `mc`'s arbitration step at `now` (arbitrated policies
+    /// only): once the southbound channel is free, the policy picks one
+    /// arrived request for the service step.
+    fn arbitrate<P: SimProbe>(&mut self, mc: usize, now: u64, thr: &mut Threads<P>) {
+        let m = &mut self.mcs[mc];
+        if m.arb_at == Some(now) {
+            m.arb_at = None;
+        }
+        if m.pending.is_empty() {
+            return;
+        }
+        // Don't reserve a busy southbound channel: selecting now would
+        // commit an order before later arrivals are seen — the exact FIFO
+        // behavior the policies exist to avoid. Re-arbitrate when the
+        // channel frees.
+        let south = m.ctl.south_busy;
+        if south > now {
+            self.sched_arb(mc, south, &mut thr.q);
+            return;
+        }
+        // Requests that have actually arrived are eligible: move them to the
+        // front. A policy picks by request id, so their order does not matter.
+        let mut n = 0;
+        for i in 0..m.pending.len() {
+            if m.pending[i].arrival <= now {
+                m.pending.swap(i, n);
+                n += 1;
+            }
+        }
+        if n > 0 {
+            // One service slot: the policy picks, the service step resolves
+            // the completion time.
+            let sel = self.policy.select(&m.pending[..n]);
+            assert!(
+                sel < n,
+                "policy {} returned out-of-range index {sel} ({n} eligible)",
+                self.policy.name()
+            );
+            let req = m.pending.swap_remove(sel);
+            self.service(mc, req, now, thr);
+        }
+        let m = &self.mcs[mc];
+        if let Some(arrival) = m.pending.iter().map(|r| r.arrival).min() {
+            let at = m.ctl.south_busy.max(arrival).max(now);
+            self.sched_arb(mc, at, &mut thr.q);
+        }
+    }
+}
+
+impl<'p, P: SimProbe> Threads<'p, P> {
+    /// The table for `threads` under `sim`, each due to start at tick 0.
+    fn new(sim: &Simulation, threads: Vec<ThreadSpec>, probe: &'p mut P) -> Self {
+        let cfg = &sim.cfg;
+        let n = threads.len();
+        let mut q = EventQueue::new();
+        for tid in 0..n as u32 {
+            q.push(0, Ev::Thread(tid));
+        }
+        Threads {
+            core: cfg.core.clone(),
+            fifo: cfg.policy.is_fifo(),
+            q,
+            probe,
+            ts: threads
+                .into_iter()
+                .map(|t| ThreadState {
+                    core: t.core,
+                    socket: cfg.socket_of_core(t.core) as u32,
+                    program: t.program,
+                    pending: None,
+                    loads: VecDeque::new(),
+                    stores: VecDeque::new(),
+                    loads_pending: 0,
+                    stores_pending: 0,
+                    drain_until: 0,
+                    park: None,
+                    finished: false,
+                })
+                .collect(),
+            pipes: vec![0; cfg.core.n_cores * cfg.core.mem_pipes],
+            fpu_busy: vec![0; cfg.core.n_cores],
+            barriers: HashMap::new(),
+            measure_after_barrier: sim.measure_after_barrier,
+            gang_count: vec![0; n],
+            in_gang: vec![true; n],
+            gang_min: 0,
+            drift_parked: Vec::new(),
+        }
+    }
+
+    /// Reports that thread `tid` stalls on `kind` from `from` and schedules
+    /// it to run again at `until`.
+    #[inline(always)]
+    fn stall(&mut self, tid: u32, kind: StallKind, from: u64, until: u64) {
+        self.probe.stall(tid, kind, from, until);
+        self.q.push(until, Ev::Thread(tid));
+    }
+
+    /// Unparks thread `tid` at `at`, reporting the stall it parked for.
+    #[inline(always)]
+    fn wake(&mut self, tid: u32, at: u64) {
+        let park = self.ts[tid as usize].park.take();
+        let (kind, since) = park.expect("only a parked thread is woken");
+        self.stall(tid, kind, since, at);
+    }
+
+    /// Thread `tid` ran off the end of its program at `now`.
+    fn finish(&mut self, tid: u32, now: u64, stats: &mut SimStats) {
+        let t = &mut self.ts[tid as usize];
+        t.finished = true;
+        stats.end_cycle = stats.end_cycle.max(now).max(t.drain_until);
+        self.in_gang[tid as usize] = false;
+        self.gang_update(now);
+    }
+
+    /// Thread `tid` runs `flops` on its core's shared FPU, once it is free.
+    fn compute(&mut self, tid: u32, flops: u32, now: u64, stats: &mut SimStats) {
+        let core = self.ts[tid as usize].core;
+        let cycles = (flops as f64 / self.core.fpu_flops_per_cycle)
+            .ceil()
+            .max(1.0) as u64;
+        let start = now.max(self.fpu_busy[core]);
+        if start > now {
+            self.probe.stall(tid, StallKind::Fpu, now, start);
+        }
+        self.fpu_busy[core] = start + cycles;
+        stats.flops += flops as u64;
+        self.q.push(start + cycles, Ev::Thread(tid));
+    }
+
+    /// Thread `tid` reaches barrier `id` at `now`. It parks until the last
+    /// thread arrives, which releases every waiter at the latest arrival
+    /// and, at the measured barrier, opens the measurement window.
+    fn barrier(&mut self, tid: u32, id: u32, now: u64, stats: &mut SimStats) {
+        let b = self.barriers.entry(id).or_default();
+        b.arrivals += 1;
+        b.release = b.release.max(now);
+        if b.arrivals == self.ts.len() {
+            let release = b.release;
+            for w in std::mem::take(&mut b.waiters) {
+                self.wake(w, release);
+                self.in_gang[w as usize] = true;
+            }
+            self.q.push(release, Ev::Thread(tid));
+            self.probe.barrier_release(id, release);
+            if self.measure_after_barrier == Some(id) {
+                stats.reset_window(release);
+                self.probe.window_reset(release);
+            }
+            self.gang_update(release);
+        } else {
+            b.waiters.push(tid);
+            self.ts[tid as usize].park = Some((StallKind::Barrier, now));
+            // Leave the gang while parked, else a straggler on the way to
+            // the barrier could deadlock the window.
+            self.in_gang[tid as usize] = false;
+            self.gang_update(now);
+        }
+    }
+
+    /// The pipe thread `tid`'s memory op `op` issues from at `now`, if it
+    /// can issue. Otherwise the thread waits: parked by the gang window, for
+    /// a budget entry, or for a pipe. The op stays pending until it commits.
+    fn issue_slot(&mut self, tid: u32, op: Op, now: u64) -> Option<usize> {
+        let i = tid as usize;
+        self.ts[i].pending = Some(op);
+        // Gang drift window: a thread too far ahead of the slowest gang
+        // member parks until the gang catches up.
+        if let Some(w) = self.core.gang_window {
+            if self.in_gang[i] && self.gang_count[i] >= self.gang_min.saturating_add(u64::from(w)) {
+                self.ts[i].park = Some((StallKind::Drift, now));
+                self.drift_parked.push(tid);
+                return None;
+            }
+        }
+        // Budget check: a load needs an outstanding-miss slot, a store a
+        // TSO store-buffer entry.
+        let t = &mut self.ts[i];
+        if let Op::Read(_) = op {
+            drop_completed(self.fifo, &mut t.loads, now);
+            if t.loads.len() + t.loads_pending >= self.core.outstanding_misses {
+                self.wait_for_slot(tid, StallKind::LoadMiss, now);
+                return None;
+            }
+        } else {
+            drop_completed(self.fifo, &mut t.stores, now);
+            if t.stores.len() + t.stores_pending >= self.core.store_buffer {
+                self.wait_for_slot(tid, StallKind::StoreBuffer, now);
+                return None;
+            }
+        }
+        // Memory-pipe issue slot.
+        let n = self.core.mem_pipes;
+        let first = self.ts[i].core * n;
+        let (slot, &free) = self.pipes[first..first + n]
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &b)| b)
+            .expect("mem_pipes > 0");
+        if free > now {
+            self.stall(tid, StallKind::Pipe, now, free);
+            return None;
+        }
+        Some(first + slot)
+    }
+
+    /// Thread `tid` found its load (`LoadMiss`) or store (`StoreBuffer`)
+    /// budget full at `from`: it waits for the next entry to complete. If
+    /// no entry is serviced yet (arbitrated policies), that time is
+    /// unknowable, so it parks until one of its own requests is serviced.
+    #[inline(always)]
+    fn wait_for_slot(&mut self, tid: u32, kind: StallKind, from: u64) {
+        let t = &mut self.ts[tid as usize];
+        let frees = if kind == StallKind::LoadMiss {
+            slot_frees_at(self.fifo, &t.loads, self.core.outstanding_misses)
+        } else {
+            slot_frees_at(self.fifo, &t.stores, self.core.store_buffer)
+        };
+        match frees {
+            Some(free) => self.stall(tid, kind, from, free),
+            None => t.park = Some((kind, from)),
+        }
+    }
+
+    /// Thread `tid` commits its pending memory op at `now`: gang progress.
+    #[inline(always)]
+    fn commit(&mut self, tid: u32, now: u64) {
+        self.ts[tid as usize].pending = None;
+        let old_count = self.gang_count[tid as usize];
+        self.gang_count[tid as usize] += 1;
+        if old_count == self.gang_min {
+            self.gang_update(now);
+        }
+    }
+
+    /// Recomputes the gang minimum and wakes drift-parked threads that are
+    /// back inside the window. Called whenever a count or a membership
+    /// changes at the current minimum.
+    #[inline(always)]
+    fn gang_update(&mut self, now: u64) {
+        let new_min = self
+            .gang_count
+            .iter()
+            .zip(&self.in_gang)
+            .filter(|&(_, &g)| g)
+            .map(|(&c, _)| c)
+            .min()
+            .unwrap_or(u64::MAX);
+        if new_min == self.gang_min {
+            return;
+        }
+        self.gang_min = new_min;
+        if let Some(w) = self.core.gang_window {
+            let mut parked = std::mem::take(&mut self.drift_parked);
+            parked.retain(|&p| {
+                let back = self.gang_count[p as usize] < new_min.saturating_add(u64::from(w));
+                if back {
+                    self.wake(p, now);
+                }
+                !back
+            });
+            self.drift_parked = parked;
+        }
     }
 }
 

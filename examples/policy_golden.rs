@@ -7,14 +7,17 @@
 //!   `tests/policy_differential.rs`;
 //! * `engine-paths`: `tests/golden/engine_paths.json`, the read-first,
 //!   NUMA and event-queue-overflow cases, captured from the engine before
-//!   its event queue became a calendar queue;
+//!   its event queue became a calendar queue, plus six cases appended from
+//!   the engine before its run loop was split (NUMA under read-first, four
+//!   outstanding misses, no gang window);
 //! * `probe-digests`: `tests/golden/probe_digests.json`, the probe-stream
 //!   digest of every case of both matrices, captured from the engine
 //!   before its FIFO and arbitrated controllers shared one service step.
 //!
-//! Re-run this only when a matrix itself is intentionally extended —
-//! never to "fix" a differential failure, which is a real regression in
-//! the engine's pinned behavior. When a matrix shrinks because a policy
+//! Re-run this only when a matrix itself is intentionally extended, by
+//! cases appended at its end and captured from the engine before the
+//! change that needs them — never to "fix" a differential failure, which
+//! is a real regression in the engine's pinned behavior. When a matrix shrinks because a policy
 //! is deleted, cut its cases from the committed files as text instead;
 //! a run of this generator must then reproduce them byte for byte.
 //!

@@ -30,7 +30,10 @@
 //! (DESIGN.md §13). [`run_engine_paths_matrix`] pins those, at the same
 //! sizes, against `tests/golden/engine_paths.json`: a capture of the
 //! engine as it was before its event queue became a calendar queue, which
-//! must pop exactly the old binary heap's order.
+//! must pop exactly the old binary heap's order. Its last six cases (NUMA
+//! under read-first, four outstanding misses, no gang window) were
+//! appended from the engine as it was before its run loop was split into
+//! a memory system and a thread table.
 //!
 //! `SimStats` do not see *when* the engine reports a stall, a NACK or a
 //! controller service. [`run_probe_digests`] runs every case of both
@@ -358,7 +361,12 @@ fn delay_overflow_programs(threads: usize) -> Vec<Program> {
 /// * `2s-numa` and `4s-numa-wide` under every page placement — the NUMA
 ///   remap and the inter-socket link;
 /// * the overflow case ([`delay_overflow_programs`]) on the shrunk T2,
-///   under FIFO and `read-first`.
+///   under FIFO and `read-first`;
+/// * configurations callers run that the cases above miss: both NUMA
+///   presets under `read-first` with interleaved pages (`policy_convoy`
+///   runs every preset under both policies), and the shrunk T2 with four
+///   outstanding misses or no gang window (the ablations), under FIFO and
+///   `read-first`.
 fn engine_paths_cases() -> Vec<Case> {
     let mut out = Vec::new();
     for preset in PRESET_NAMES.into_iter().filter(|p| !is_numa(p)) {
@@ -399,6 +407,37 @@ fn engine_paths_cases() -> Vec<Case> {
             threads,
             traced: false,
         });
+    }
+    for preset in PRESET_NAMES.into_iter().filter(|p| is_numa(p)) {
+        let mut chip = shrunk(preset);
+        chip.policy = PolicyKind::parse("read-first").expect("registered policy");
+        chip.placement = PagePlacement::Interleave;
+        out.push(stream_case(
+            format!("{preset}/read-first/interleave/triad-aliased"),
+            &chip,
+            StreamKernel::Triad,
+            0,
+        ));
+    }
+    for policy in ["fifo", "read-first"] {
+        let mut chip = shrunk("ultrasparc-t2");
+        chip.policy = PolicyKind::parse(policy).expect("registered policy");
+        let mut overlapped = chip.clone();
+        overlapped.core.outstanding_misses = 4;
+        out.push(stream_case(
+            format!("ultrasparc-t2/{policy}/outstanding-4/triad-spread"),
+            &overlapped,
+            StreamKernel::Triad,
+            16,
+        ));
+        let mut ungated = chip;
+        ungated.core.gang_window = None;
+        out.push(stream_case(
+            format!("ultrasparc-t2/{policy}/no-gang-window/triad-aliased"),
+            &ungated,
+            StreamKernel::Triad,
+            0,
+        ));
     }
     out
 }

@@ -7,23 +7,23 @@
 //! discrete-event simulator of the Sun UltraSPARC T2 memory subsystem the
 //! paper measured on.
 //!
-//! This facade crate re-exports the five member crates:
+//! This facade crate re-exports the six member crates:
 //!
-//! * [`core`](t2opt_core) — segmented arrays with byte-exact layout
+//! * [`core`] — segmented arrays with byte-exact layout
 //!   control (alignment / padding / shift / offset, Fig. 3), segmented
 //!   iterators, and the analytic memory-controller layout advisor;
-//! * [`sim`](t2opt_sim) — the UltraSPARC T2 memory-system simulator
+//! * [`sim`] — the UltraSPARC T2 memory-system simulator
 //!   (banked L2, four memory controllers, bits-8:7 interleave);
-//! * [`parallel`](t2opt_parallel) — an OpenMP-style thread pool with
+//! * [`parallel`] — an OpenMP-style thread pool with
 //!   static/dynamic/guided schedules, placement (pinning) and loop
 //!   coalescing;
-//! * [`kernels`](t2opt_kernels) — STREAM, vector triad, 2-D Jacobi and
+//! * [`kernels`] — STREAM, vector triad, 2-D Jacobi and
 //!   D3Q19 lattice-Boltzmann, as host code and as simulator traces;
-//! * [`autotune`](t2opt_autotune) — the empirical counterpart to the
+//! * [`autotune`] — the empirical counterpart to the
 //!   analytic advisor: searches the layout space by running batched
 //!   simulator trials in parallel, with a persistent result cache and an
 //!   advisor-agreement cross-check;
-//! * [`telemetry`](t2opt_telemetry) — zero-cost-when-disabled counters,
+//! * [`telemetry`] — zero-cost-when-disabled counters,
 //!   histograms and request traces, time-resolved simulator timelines with
 //!   MC-imbalance (aliasing) diagnostics, and Chrome-trace / JSON-lines /
 //!   ASCII-heatmap exporters.

@@ -10,7 +10,9 @@
 //!   reach: the arbitrated read-first policy, the NUMA presets under every
 //!   page placement, and events scheduled past the event queue's ring. It
 //!   was captured from the engine before the calendar queue replaced its
-//!   binary heap.
+//!   binary heap. Six cases were appended later from the engine before its
+//!   run loop was split: both NUMA presets under read-first, and the T2
+//!   with four outstanding misses or no gang window under both policies.
 //! * `tests/golden/probe_digests.json` pins what `SimStats` do not see:
 //!   the order and arguments of every probe call (stalls, NACKs,
 //!   controller services) in every case of both matrices. It was captured
