@@ -12,19 +12,21 @@
 //! ([`LayoutAdvisor::suggest_offsets`], [`LayoutAdvisor::suggest_shift`])
 //! directly from the mapping geometry.
 //!
-//! # The prediction model
+//! # The phase walk
 //!
-//! All streams advance in lockstep, one cache line per *phase*. Each stream
-//! contributes per line:
+//! All streams advance in lockstep, one cache line per *phase*.
+//! [`LayoutAdvisor::analyze`] walks one mapping period phase by phase and
+//! charges each stream's line to its controller:
 //!
-//! * a **blocking** unit (a load or a read-for-ownership) that the issuing
-//!   thread must wait for — on the T2 every thread is limited to a single
-//!   outstanding miss, so blocking units cannot be smoothed across phases:
-//!   a phase lasts at least as long as the most-loaded controller's blocking
-//!   work (`max_c blocking_c`, the convoy constraint);
-//! * optionally **buffered** units (write-backs) that drain through the
-//!   controller queues whenever their controller is free — they constrain
-//!   only the long-run per-controller and aggregate throughput.
+//! * a **blocking** line (a load or a read-for-ownership) that the issuing
+//!   thread must wait for costs the *read cost* — on the T2 every thread
+//!   is limited to a single outstanding miss, so blocking lines cannot be
+//!   smoothed across phases: a phase lasts at least as long as the
+//!   most-loaded controller's blocking work (`max_c blocking_c`, the
+//!   convoy constraint);
+//! * a **buffered** line (a write-back) costs the *write cost* and drains
+//!   through the controller queues whenever its controller is free — it
+//!   constrains only the long-run per-controller and aggregate throughput.
 //!
 //! Total time over one mapping period is therefore
 //!
@@ -38,6 +40,12 @@
 //! congruent mod 512 B the convoy term dominates and efficiency collapses
 //! toward `1/n_mc` — the Fig. 2/Fig. 4 dips; with the suggested offsets all
 //! three terms coincide and efficiency is 1.
+//!
+//! The walk runs at two cost settings. [`LayoutAdvisor::predict`] prices a
+//! read at 1 and a write-back at 2, because the T2's FB-DIMM channels
+//! write at half the read bandwidth (21 vs 42 GB/s nominal). The
+//! `t2opt-model` capacity term prices them at the chip's `read_service`
+//! and `write_service` cycles.
 
 use crate::chip::SocketTopology;
 use crate::mapping::{MapPolicy, PagePlacement};
@@ -58,7 +66,7 @@ pub enum StreamKind {
 }
 
 impl StreamKind {
-    /// Blocking units per line (loads the thread must wait on).
+    /// Blocking lines per line (loads the thread must wait on).
     #[inline]
     pub fn blocking(self) -> u32 {
         match self {
@@ -67,21 +75,13 @@ impl StreamKind {
         }
     }
 
-    /// Buffered units per line, in read-service equivalents. The T2's
-    /// FB-DIMM channels write at half the read bandwidth (21 vs 42 GB/s
-    /// nominal), so one written line costs two units.
+    /// Buffered write-back lines per line.
     #[inline]
-    pub fn buffered(self) -> u32 {
+    pub fn writebacks(self) -> u32 {
         match self {
             StreamKind::Read => 0,
-            StreamKind::Write | StreamKind::Writeback => 2,
+            StreamKind::Write | StreamKind::Writeback => 1,
         }
-    }
-
-    /// Total controller occupancy per line.
-    #[inline]
-    pub fn weight(self) -> u32 {
-        self.blocking() + self.buffered()
     }
 }
 
@@ -149,6 +149,53 @@ pub enum Bound {
     Hotspot,
 }
 
+/// One walk of a stream set over the mapping period
+/// ([`LayoutAdvisor::analyze`]), in the costs it was given.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhaseAnalysis {
+    /// Cost charged to each socket-local controller.
+    pub load: Vec<u64>,
+    /// Σ over phases of the largest per-controller blocking cost.
+    pub convoy: u64,
+    /// Σ over phases of the number of controllers hit by blocking lines.
+    pub distinct: usize,
+    /// Phases walked (lines per stream).
+    pub phases: usize,
+}
+
+impl PhaseAnalysis {
+    /// Total cost over the walk.
+    pub fn total(&self) -> u64 {
+        self.load.iter().sum()
+    }
+
+    /// The three lower bounds on the walk's time: `(convoy, ideal,
+    /// hotspot)`, where `ideal` is the per-controller cost of an even
+    /// spread and `hotspot` the most-loaded controller's cost.
+    fn bounds(&self) -> (f64, f64, f64) {
+        let ideal = self.total() as f64 / self.load.len() as f64;
+        let hotspot = *self.load.iter().max().expect("at least one controller") as f64;
+        (self.convoy as f64, ideal, hotspot)
+    }
+
+    /// Controller-utilization efficiency in `(0, 1]`:
+    /// `ideal / max(convoy, ideal, hotspot)`, and 1 when nothing was
+    /// charged.
+    pub fn efficiency(&self) -> f64 {
+        let (convoy, ideal, hotspot) = self.bounds();
+        if self.total() == 0 {
+            1.0
+        } else {
+            ideal / convoy.max(ideal).max(hotspot)
+        }
+    }
+
+    /// Mean distinct controllers hit by blocking lines per phase.
+    pub fn concurrent_controllers(&self) -> f64 {
+        self.distinct as f64 / self.phases as f64
+    }
+}
+
 /// The analytic advisor for a given controller mapping policy (and, on
 /// multi-socket chips, its socket topology).
 ///
@@ -201,23 +248,9 @@ impl LayoutAdvisor {
         self
     }
 
-    /// Attaches a socket topology with the T2's 12-cycle read service as
-    /// the normalization base (every shipped preset's value except
-    /// `budget-2mc`). Prefer [`crate::chip::ChipSpec::advisor`], which
-    /// passes the chip's own service time through
-    /// [`LayoutAdvisor::with_numa`].
-    pub fn with_sockets(self, sockets: SocketTopology) -> Self {
-        self.with_numa(sockets, 12)
-    }
-
     /// Advisor for the real UltraSPARC T2 mapping.
     pub fn t2() -> Self {
         LayoutAdvisor::new(MapPolicy::t2())
-    }
-
-    /// Advisor for a chip preset's mapping policy and socket topology.
-    pub fn for_chip(spec: &crate::chip::ChipSpec) -> Self {
-        LayoutAdvisor::new(spec.map).with_numa(spec.sockets, spec.read_service)
     }
 
     /// The mapping policy in use.
@@ -263,60 +296,80 @@ impl LayoutAdvisor {
         local_time / local_time.max(link_time)
     }
 
-    /// Predicts the controller-utilization efficiency of a set of lockstep
-    /// streams. See the module docs for the model.
+    /// Walks `streams` over one mapping period, one line per phase, and
+    /// charges `read_cost` per blocking line and `write_cost` per
+    /// write-back line to the line's controller. See the module docs.
     ///
-    /// On a multi-socket chip the streams are assumed socket-local
-    /// (first-touch placement): the raw controller index folds into the
-    /// home socket's group of `mcs_per_socket` controllers, so two
-    /// addresses whose raw controllers differ only in the socket bits
-    /// still alias. Combine with [`LayoutAdvisor::locality_factor`] for
-    /// non-local placements.
-    pub fn predict(&self, streams: &[StreamDesc]) -> Prediction {
+    /// Policies with an exact period (bit-sliced and page-granular maps)
+    /// walk one full interleave period; hashed policies, whose true period
+    /// is impractically large, walk `4 · super_line / line · n_mc` phases.
+    /// On a multi-socket chip the raw controller index folds into the home
+    /// socket's group of `mcs_per_socket` controllers (first-touch
+    /// placement), so two addresses whose raw controllers differ only in
+    /// the socket bits still alias.
+    pub fn analyze(
+        &self,
+        streams: &[StreamDesc],
+        read_cost: u64,
+        write_cost: u64,
+    ) -> PhaseAnalysis {
         let geo = self.policy.geometry();
-        let n_mc = geo.num_controllers() as usize;
-        let mps = self.mcs_per_socket();
         let line = geo.line_size();
-        // One full interleave period for policies whose period is exact
-        // (bit-sliced and page-granular maps); a longer averaging window
-        // for hashed policies, whose true period is impractically large.
         let phases = match self.policy {
             MapPolicy::Sliced(_) | MapPolicy::PageInterleave { .. } => {
                 (self.policy.interleave_period() / line) as usize
             }
-            MapPolicy::XorFold { .. } => 4 * (geo.super_line() / line) as usize * n_mc,
-        };
-        let mut load = vec![0u64; mps];
-        let mut convoy_time = 0u64;
-        let mut distinct_sum = 0usize;
-        for p in 0..phases {
-            let mut blocking = vec![0u64; mps];
-            for s in streams {
-                let addr = s.base + p as u64 * line;
-                let mc = self.policy.controller(addr) as usize % mps;
-                blocking[mc] += u64::from(s.kind.blocking());
-                load[mc] += u64::from(s.kind.weight());
+            MapPolicy::XorFold { .. } => {
+                4 * (geo.super_line() / line) as usize * geo.num_controllers() as usize
             }
-            convoy_time += *blocking.iter().max().unwrap();
-            distinct_sum += blocking.iter().filter(|&&b| b > 0).count();
+        };
+        let mps = self.mcs_per_socket();
+        let mut load = vec![0u64; mps];
+        let mut blocking = vec![0u64; mps];
+        let mut convoy = 0u64;
+        let mut distinct = 0usize;
+        for p in 0..phases as u64 {
+            blocking.fill(0);
+            for s in streams {
+                let mc = self.policy.controller(s.base + p * line) as usize % mps;
+                let read = u64::from(s.kind.blocking()) * read_cost;
+                blocking[mc] += read;
+                load[mc] += read + u64::from(s.kind.writebacks()) * write_cost;
+            }
+            convoy += *blocking.iter().max().expect("at least one controller");
+            distinct += blocking.iter().filter(|&&b| b > 0).count();
         }
-        let total: u64 = load.iter().sum();
-        let ideal = total as f64 / mps as f64;
-        let hotspot = *load.iter().max().unwrap() as f64;
-        let convoy = convoy_time as f64;
-        let actual = convoy.max(ideal).max(hotspot);
-        let bound = if actual == convoy && convoy >= hotspot && convoy > ideal {
+        PhaseAnalysis {
+            load,
+            convoy,
+            distinct,
+            phases,
+        }
+    }
+
+    /// Predicts the controller-utilization efficiency of a set of lockstep
+    /// streams: [`LayoutAdvisor::analyze`] at a read cost of 1 and a
+    /// write-back cost of 2, labelled with the constraint that set the
+    /// time.
+    ///
+    /// On a multi-socket chip the streams are assumed socket-local
+    /// (first-touch placement). Combine with
+    /// [`LayoutAdvisor::locality_factor`] for non-local placements.
+    pub fn predict(&self, streams: &[StreamDesc]) -> Prediction {
+        let a = self.analyze(streams, 1, 2);
+        let (convoy, ideal, hotspot) = a.bounds();
+        let bound = if convoy >= hotspot && convoy > ideal {
             Bound::Convoy
-        } else if actual == hotspot && hotspot > ideal {
+        } else if hotspot >= convoy && hotspot > ideal {
             Bound::Hotspot
         } else {
             Bound::Aggregate
         };
         Prediction {
-            efficiency: if total == 0 { 1.0 } else { ideal / actual },
+            efficiency: a.efficiency(),
             bound,
-            controller_load: load,
-            concurrent_controllers: distinct_sum as f64 / phases as f64,
+            concurrent_controllers: a.concurrent_controllers(),
+            controller_load: a.load,
         }
     }
 
@@ -689,6 +742,32 @@ mod tests {
         for p in PagePlacement::ALL {
             assert_eq!(t2.locality_factor(p), 1.0);
         }
+    }
+
+    #[test]
+    fn hashed_window_counts_raw_controllers_on_two_sockets() {
+        use crate::mapping::AddressMap;
+        // The 2s-numa geometry under an XOR fold: 8 raw controllers, 4 per
+        // socket, 16 lines per super-line. The averaging window scales
+        // with the raw controller count (4 · 16 · 8 = 512 phases), not the
+        // per-socket one (256), while the load still folds into the 4
+        // local controllers.
+        let adv = LayoutAdvisor::new(MapPolicy::XorFold {
+            base: AddressMap {
+                line_bits: 6,
+                mc_lo_bit: 7,
+                mc_bits: 3,
+                bank_lo_bit: 6,
+                bank_bits: 3,
+            },
+            folds: 2,
+        })
+        .with_numa(crate::chip::ChipSpec::numa_2s().sockets, 12);
+        let a = adv.analyze(&triad_streams([0, 128, 256, 384]), 1, 2);
+        assert_eq!(a.phases, 512);
+        assert_eq!(a.load.len(), 4);
+        // 4 blocking lines + 1 write-back of cost 2 per phase.
+        assert_eq!(a.total(), 512 * 6);
     }
 
     #[test]

@@ -330,9 +330,10 @@ impl ChipSpec {
     }
 
     /// An analytic [`LayoutAdvisor`] for this chip's mapping and socket
-    /// topology.
+    /// topology, with the link cost normalized by the chip's own read
+    /// service (see [`LayoutAdvisor::with_numa`]).
     pub fn advisor(&self) -> LayoutAdvisor {
-        LayoutAdvisor::new(self.map).with_sockets(self.sockets)
+        LayoutAdvisor::new(self.map).with_numa(self.sockets, self.read_service)
     }
 }
 
@@ -345,6 +346,7 @@ impl Default for ChipSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::PagePlacement;
 
     #[test]
     fn registry_resolves_every_name_and_rejects_unknown() {
@@ -407,6 +409,19 @@ mod tests {
         assert_eq!(four.local_period(), 512);
         assert_eq!(four.max_threads(), 256);
         assert_eq!(four.socket_of_controller(15), 3);
+    }
+
+    #[test]
+    fn advisor_normalizes_the_link_by_the_chips_read_service() {
+        // 2s-numa, all-remote: local aggregate time 1/8 per line against
+        // a link of 8 cycles per line. At a 16-cycle read service the link
+        // costs 0.5 service units, so the factor is 0.125 / 0.5.
+        let spec = ChipSpec {
+            read_service: 16,
+            ..ChipSpec::numa_2s()
+        };
+        let remote = spec.advisor().locality_factor(PagePlacement::Remote);
+        assert_eq!(remote, 0.25);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use t2opt_core::advisor::{LayoutAdvisor, StreamDesc, StreamKind};
+use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
 use t2opt_core::layout::{LayoutSpec, SegmentPlan};
 use t2opt_core::mapping::AddressMap;
 use t2opt_core::seg_array::SegArray;
@@ -146,6 +147,39 @@ proptest! {
             .collect();
         let q = advisor.predict(&shifted);
         prop_assert!((p.efficiency - q.efficiency).abs() < 1e-12);
+    }
+
+    /// The phase walk is linear in its costs, on every preset's map:
+    /// scaling the read and the write cost by `k` scales every
+    /// controller's load and the convoy sum by exactly `k`, and leaves the
+    /// distinct-controller count and the phase count unchanged.
+    #[test]
+    fn phase_walk_scales_with_its_costs(
+        preset in 0..PRESET_NAMES.len(),
+        streams in proptest::collection::vec((0u64..65_536, 0u8..3), 1..6),
+        read in 0u64..32,
+        write in 0u64..64,
+        k in 1u64..8,
+    ) {
+        let advisor = ChipSpec::preset(PRESET_NAMES[preset]).unwrap().advisor();
+        let streams: Vec<StreamDesc> = streams
+            .into_iter()
+            .map(|(base, kind)| StreamDesc {
+                base,
+                kind: match kind {
+                    0 => StreamKind::Read,
+                    1 => StreamKind::Write,
+                    _ => StreamKind::Writeback,
+                },
+            })
+            .collect();
+        let unit = advisor.analyze(&streams, read, write);
+        let scaled = advisor.analyze(&streams, k * read, k * write);
+        let expect: Vec<u64> = unit.load.iter().map(|&l| k * l).collect();
+        prop_assert_eq!(scaled.load, expect);
+        prop_assert_eq!(scaled.convoy, k * unit.convoy);
+        prop_assert_eq!(scaled.distinct, unit.distinct);
+        prop_assert_eq!(scaled.phases, unit.phases);
     }
 
     /// The closed-form offset suggestion is never beaten by exhaustive

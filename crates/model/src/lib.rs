@@ -22,10 +22,12 @@
 //! controller for a service time: `read_service` cycles for a load or a
 //! read-for-ownership, `write_service` for a write-back (the T2's FB-DIMM
 //! channels write at half the read bandwidth, so `write_service =
-//! 2 × read_service`). The advisor's phase analysis — rerun here with
-//! cycle weights instead of unit weights — yields the fraction `eff ∈
-//! (0, 1]` of the aggregate controller bandwidth the layout can actually
-//! use (1 with perfectly spread streams, `→ 1/n_mc` in full convoy), so
+//! 2 × read_service`). The advisor's phase walk
+//! ([`LayoutAdvisor::analyze`](t2opt_core::advisor::LayoutAdvisor::analyze)),
+//! run here at these cycle costs instead of the advisor's (1, 2),
+//! yields the fraction `eff ∈ (0, 1]` of the aggregate controller
+//! bandwidth the layout can actually use (1 with perfectly spread
+//! streams, `→ 1/n_mc` in full convoy), so
 //!
 //! ```text
 //! T_cap = Σ_lines service_cycles / (n_mc · eff)

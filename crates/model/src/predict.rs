@@ -1,9 +1,16 @@
 //! The closed-form predictor: capacity and latency terms, and their max.
+//!
+//! Both terms read the advisor's phase walk
+//! ([`LayoutAdvisor::analyze`]) over each unit's streams, priced in
+//! cycles: a blocking line costs `read_service`, a write-back
+//! `write_service`. The walk supplies the cycle-weighted efficiency and
+//! controller occupancy of the capacity term and the controller spread of
+//! the latency term.
 
 use crate::shape::KernelShape;
 use crate::timing::ModelTiming;
 use serde::{Deserialize, Serialize};
-use t2opt_core::advisor::StreamDesc;
+use t2opt_core::advisor::LayoutAdvisor;
 use t2opt_core::chip::{ChipSpec, SocketTopology};
 use t2opt_core::mapping::{MapPolicy, PagePlacement};
 
@@ -51,18 +58,6 @@ impl ModelPrediction {
             0.0
         }
     }
-}
-
-/// Per-unit phase analysis, cycle-weighted (see [`PerfModel::predict`]).
-struct UnitAnalysis {
-    /// Controller-utilization efficiency of this unit's streams, `(0, 1]`.
-    efficiency: f64,
-    /// Controller occupancy cycles per advanced line (all streams).
-    occ_per_line: f64,
-    /// Mean distinct controllers hit by blocking units per phase.
-    concurrent_controllers: f64,
-    /// Blocking misses per advanced line.
-    blocking_per_line: u64,
 }
 
 /// The closed-form performance model for one chip. See the crate docs for
@@ -129,19 +124,23 @@ impl PerfModel {
     pub fn predict_placed(&self, shape: &KernelShape, placement: PagePlacement) -> ModelPrediction {
         let remote_fraction = placement.remote_fraction(self.numa.n_sockets);
         let n_mc = self.policy.geometry().num_controllers() as f64;
+        let advisor =
+            LayoutAdvisor::new(self.policy).with_numa(self.numa, self.timing.read_service);
         let mut total_occ = 0.0;
         let mut weighted_eff = 0.0;
-        let mut blocking_misses = 0.0;
         let mut spread_sum = 0.0;
         let mut spread_units = 0.0;
         for unit in &shape.units {
-            let a = self.unit_analysis(&unit.streams);
-            let occ = unit.lines as f64 * a.occ_per_line;
+            let a = advisor.analyze(
+                &unit.streams,
+                self.timing.read_service,
+                self.timing.write_service,
+            );
+            let occ = unit.lines as f64 * (a.total() as f64 / a.phases as f64);
             total_occ += occ;
-            weighted_eff += occ * a.efficiency;
-            blocking_misses += (unit.lines * a.blocking_per_line) as f64;
-            if a.blocking_per_line > 0 && unit.lines > 0 {
-                spread_sum += a.concurrent_controllers;
+            weighted_eff += occ * a.efficiency();
+            if unit.lines > 0 && unit.streams.iter().any(|s| s.kind.blocking() > 0) {
+                spread_sum += a.concurrent_controllers();
                 spread_units += 1.0;
             }
         }
@@ -162,9 +161,10 @@ impl PerfModel {
         } else {
             0.0
         };
+        let blocking_misses = shape.blocking_misses() as f64;
         let t_lat = if blocking_misses > 0.0 {
             // `spread` counts distinct controllers per socket group (the
-            // unit_analysis fold); every socket replays the same pattern on
+            // advisor walk's fold); every socket replays the same pattern on
             // its own group, so the chip-wide active-controller count — what
             // the in-flight misses divide over — is `spread × n_sockets`.
             let active = spread * self.numa.n_sockets.max(1) as f64;
@@ -216,74 +216,13 @@ impl PerfModel {
             concurrent_controllers: spread,
         }
     }
-
-    /// The advisor's phase analysis over one interleave period, reweighted
-    /// in cycles: a blocking unit (load / read-for-ownership) costs
-    /// `read_service`, a write-back costs `write_service`. With equal
-    /// weights this reduces exactly to `LayoutAdvisor::predict`; the cycle
-    /// weights make write-heavy phases proportionally heavier, which is
-    /// what the FB-DIMM 2:1 asymmetry does to the real controllers.
-    fn unit_analysis(&self, streams: &[StreamDesc]) -> UnitAnalysis {
-        let geo = self.policy.geometry();
-        // On a multi-socket chip the aliasing question folds into one
-        // socket's controller group (`controller(addr) % mps`): the home
-        // socket picks the group, the offset picks the controller within
-        // it — the same fold `LayoutAdvisor::predict` applies. On a single
-        // socket `mps == n_mc` and the fold is the identity.
-        let n_mc = (geo.num_controllers() as usize / self.numa.n_sockets.max(1)).max(1);
-        let line = geo.line_size();
-        // Exact period for bit-sliced and page-granular maps; a longer
-        // averaging window for hashed policies (same choice the advisor
-        // makes).
-        let phases = match self.policy {
-            MapPolicy::Sliced(_) | MapPolicy::PageInterleave { .. } => {
-                (self.policy.interleave_period() / line) as usize
-            }
-            MapPolicy::XorFold { .. } => 4 * (geo.super_line() / line) as usize * n_mc,
-        };
-        let read = self.timing.read_service;
-        let write = self.timing.write_service;
-        let mut load = vec![0u64; n_mc];
-        let mut convoy_time = 0u64;
-        let mut distinct_sum = 0usize;
-        let mut blocking_per_line = 0u64;
-        for p in 0..phases {
-            let mut blocking = vec![0u64; n_mc];
-            for s in streams {
-                let addr = s.base + p as u64 * line;
-                let mc = self.policy.controller(addr) as usize % n_mc;
-                let b = u64::from(s.kind.blocking());
-                blocking[mc] += b * read;
-                // Occupancy: the blocking read plus the buffered write-back
-                // (StreamKind::buffered is in half-rate read equivalents;
-                // one written line = one write_service).
-                load[mc] += b * read + u64::from(s.kind.buffered() / 2) * write;
-            }
-            convoy_time += *blocking.iter().max().unwrap();
-            distinct_sum += blocking.iter().filter(|&&b| b > 0).count();
-        }
-        blocking_per_line += streams
-            .iter()
-            .map(|s| u64::from(s.kind.blocking()))
-            .sum::<u64>();
-
-        let total: u64 = load.iter().sum();
-        let ideal = total as f64 / n_mc as f64;
-        let hotspot = *load.iter().max().unwrap() as f64;
-        let actual = (convoy_time as f64).max(ideal).max(hotspot);
-        UnitAnalysis {
-            efficiency: if total == 0 { 1.0 } else { ideal / actual },
-            occ_per_line: total as f64 / phases as f64,
-            concurrent_controllers: distinct_sum as f64 / phases as f64,
-            blocking_per_line,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::shape::StreamUnit;
+    use t2opt_core::advisor::StreamDesc;
 
     /// The Fig. 4 setup: 64 threads, each streaming a triad over its own
     /// 512-aligned segment, arrays placed at the given offsets.

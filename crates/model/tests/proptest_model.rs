@@ -47,7 +47,7 @@ fn arb_shape() -> impl Strategy<Value = KernelShape> {
 proptest! {
     /// Model efficiency is in (0, 1] for every preset and any stream mix.
     #[test]
-    fn efficiency_stays_in_unit_interval(shape in arb_shape(), preset in 0usize..4) {
+    fn efficiency_stays_in_unit_interval(shape in arb_shape(), preset in 0..PRESET_NAMES.len()) {
         let spec = ChipSpec::preset(PRESET_NAMES[preset]).unwrap();
         let model = PerfModel::for_spec(&spec);
         let p = model.predict(&shape);
@@ -67,7 +67,7 @@ proptest! {
     #[test]
     fn prediction_invariant_under_period_translation(
         shape in arb_shape(),
-        preset in 0usize..4,
+        preset in 0..PRESET_NAMES.len(),
         periods in 1u64..8,
     ) {
         let spec = ChipSpec::preset(PRESET_NAMES[preset]).unwrap();

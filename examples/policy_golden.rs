@@ -13,6 +13,10 @@
 //! * `probe-digests`: `tests/golden/probe_digests.json`, the probe-stream
 //!   digest of every case of both matrices, captured from the engine
 //!   before its FIFO and arbitrated controllers shared one service step.
+//! * `model`: `tests/golden/model_predictions.json`, one digest per case
+//!   of every model and advisor prediction field over the serve path's
+//!   layouts and the `model_validate` grids, captured from the advisor and
+//!   model before they shared one phase walk.
 //!
 //! Re-run this only when a matrix itself is intentionally extended, by
 //! cases appended at its end and captured from the engine before the
@@ -22,13 +26,30 @@
 //! a run of this generator must then reproduce them byte for byte.
 //!
 //! ```text
-//! cargo run --release --example policy_golden [-- fifo|engine-paths|probe-digests]
+//! cargo run --release --example policy_golden [-- fifo|engine-paths|probe-digests|model]
 //! ```
 
 use t2opt::golden::{
-    run_engine_paths_matrix, run_matrix, run_probe_digests, DigestCase, DigestFile, GoldenCase,
-    GoldenFile, ENGINE_PATHS_GOLDEN_PATH, GOLDEN_PATH, PROBE_DIGESTS_GOLDEN_PATH,
+    run_engine_paths_matrix, run_matrix, run_model_digests, run_probe_digests, DigestCase,
+    DigestFile, GoldenCase, GoldenFile, ENGINE_PATHS_GOLDEN_PATH, GOLDEN_PATH, MODEL_GOLDEN_PATH,
+    PROBE_DIGESTS_GOLDEN_PATH,
 };
+
+/// Writes a digest capture to `path`.
+fn write_digests(digests: Vec<(String, u64)>, path: &str) {
+    let cases: Vec<DigestCase> = digests
+        .into_iter()
+        .map(|(name, digest)| {
+            eprintln!("  {name:44} {digest:016x}");
+            DigestCase {
+                name,
+                digest: format!("{digest:016x}"),
+            }
+        })
+        .collect();
+    t2opt_core::json::write_json(path, &DigestFile { cases }).expect("write digest file");
+    eprintln!("wrote {path}");
+}
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "fifo".into());
@@ -36,23 +57,11 @@ fn main() {
     let (matrix, path) = match which.as_str() {
         "fifo" => (run_matrix(), GOLDEN_PATH),
         "engine-paths" => (run_engine_paths_matrix(), ENGINE_PATHS_GOLDEN_PATH),
-        "probe-digests" => {
-            let cases: Vec<DigestCase> = run_probe_digests()
-                .into_iter()
-                .map(|(name, digest)| {
-                    eprintln!("  {name:44} {digest:016x}");
-                    DigestCase {
-                        name,
-                        digest: format!("{digest:016x}"),
-                    }
-                })
-                .collect();
-            let path = PROBE_DIGESTS_GOLDEN_PATH;
-            t2opt_core::json::write_json(path, &DigestFile { cases }).expect("write digest file");
-            eprintln!("wrote {path}");
-            return;
+        "probe-digests" => return write_digests(run_probe_digests(), PROBE_DIGESTS_GOLDEN_PATH),
+        "model" => return write_digests(run_model_digests(), MODEL_GOLDEN_PATH),
+        other => {
+            panic!("unknown matrix {other:?} (expected fifo, engine-paths, probe-digests or model)")
         }
-        other => panic!("unknown matrix {other:?} (expected fifo, engine-paths or probe-digests)"),
     };
     let cases: Vec<GoldenCase> = matrix
         .into_iter()

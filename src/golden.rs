@@ -41,15 +41,33 @@
 //! arguments into one 64-bit value, and pins the result
 //! against `tests/golden/probe_digests.json`: a capture of the engine as it
 //! was before its FIFO and arbitrated controllers shared one service step.
+//!
+//! [`run_model_digests`] pins the closed-form side the same way: one
+//! 64-bit digest per case of the f64 bits of every [`ModelPrediction`]
+//! field and of every advisor [`Prediction`] field, over the layouts the
+//! serve path scores and the `model_validate` grids
+//! ([`validation_workload`], [`validation_space`]), against
+//! `tests/golden/model_predictions.json`: a capture of the advisor and
+//! the model as they were while each still walked the mapping period
+//! with its own copy of the loop.
+//!
+//! [`ModelPrediction`]: t2opt_model::ModelPrediction
+//! [`Prediction`]: t2opt_core::advisor::Prediction
 
 use std::collections::BTreeMap;
+use t2opt_autotune::surrogate::model_for_chip;
+use t2opt_autotune::{ParamSpace, Workload};
+use t2opt_core::advisor::LayoutAdvisor;
 use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
 use t2opt_core::json::JsonValue;
+use t2opt_core::layout::LayoutSpec;
 use t2opt_core::mapping::PagePlacement;
 use t2opt_kernels::common::place_threads;
 use t2opt_kernels::stream::{self, StreamConfig, StreamKernel};
 use t2opt_kernels::triad::{self, TriadConfig, TriadLayout};
+use t2opt_model::PerfModel;
 use t2opt_parallel::Placement;
+use t2opt_serve::service::{resolve_workload, WORKLOAD_NAMES};
 use t2opt_sim::policy::PolicyKind;
 use t2opt_sim::telemetry::probe::{SimProbe, StallKind};
 use t2opt_sim::telemetry::timeline::TraceConfig;
@@ -68,6 +86,10 @@ pub const ENGINE_PATHS_GOLDEN_PATH: &str = "tests/golden/engine_paths.json";
 /// workspace root.
 pub const PROBE_DIGESTS_GOLDEN_PATH: &str = "tests/golden/probe_digests.json";
 
+/// Where the committed model-prediction digests live, relative to the
+/// workspace root.
+pub const MODEL_GOLDEN_PATH: &str = "tests/golden/model_predictions.json";
+
 /// Serialized envelope of one matrix capture.
 #[derive(serde::Serialize)]
 pub struct GoldenFile {
@@ -84,32 +106,33 @@ pub struct GoldenCase {
     pub stats: SimStats,
 }
 
-/// Serialized envelope of the probe-digest capture.
+/// Serialized envelope of a digest capture (probe streams or model
+/// predictions).
 #[derive(serde::Serialize)]
 pub struct DigestFile {
-    /// Every case of both matrices, in matrix order.
+    /// Every case of the matrix, in matrix order.
     pub cases: Vec<DigestCase>,
 }
 
-/// One case's probe-stream digest.
+/// One case's digest.
 #[derive(serde::Serialize)]
 pub struct DigestCase {
     /// The case name, as in the matrix it comes from.
     pub name: String,
-    /// The probe-stream digest as 16 hex digits: a JSON number could not
-    /// hold all 64 bits.
+    /// The digest as 16 hex digits: a JSON number could not hold all 64
+    /// bits.
     pub digest: String,
 }
 
-/// A [`SimProbe`] that folds every hook call and its arguments, in call
-/// order, into a 64-bit digest. Two runs agree on it only if the engine
-/// reported the same controller services, bank accesses, NACKs, stalls,
-/// barrier releases and window resets, with the same cycles, in the same
-/// order.
+/// A 64-bit digest of a sequence of words. As a [`SimProbe`] it folds
+/// every hook call and its arguments, in call order: two runs agree on it
+/// only if the engine reported the same controller services, bank
+/// accesses, NACKs, stalls, barrier releases and window resets, with the
+/// same cycles, in the same order.
 #[derive(Debug, Default)]
-struct ProbeDigest(u64);
+struct Digest(u64);
 
-impl ProbeDigest {
+impl Digest {
     /// The digest of every call so far.
     fn digest(&self) -> u64 {
         self.0
@@ -128,7 +151,7 @@ impl ProbeDigest {
     }
 }
 
-impl SimProbe for ProbeDigest {
+impl SimProbe for Digest {
     fn mc_service(
         &mut self,
         mc: usize,
@@ -192,7 +215,7 @@ impl Case {
 
     /// The digest of the case's probe stream.
     fn probe_digest(self) -> (String, u64) {
-        let mut probe = ProbeDigest::default();
+        let mut probe = Digest::default();
         self.sim.run_with_probe(self.threads, &mut probe);
         (self.name, probe.digest())
     }
@@ -447,7 +470,7 @@ pub fn run_engine_paths_matrix() -> Vec<(String, SimStats)> {
     engine_paths_cases().into_iter().map(Case::stats).collect()
 }
 
-/// Runs every case of both matrices with a `ProbeDigest` and returns
+/// Runs every case of both matrices with a probe `Digest` and returns
 /// `(name, digest)` per case, FIFO matrix first.
 pub fn run_probe_digests() -> Vec<(String, u64)> {
     fifo_cases()
@@ -455,6 +478,155 @@ pub fn run_probe_digests() -> Vec<(String, u64)> {
         .chain(engine_paths_cases())
         .map(Case::probe_digest)
         .collect()
+}
+
+/// The `model_validate` workload for `spec`: per-thread segments ≡ 0 mod
+/// the interleave period (so the packed layout fully aliases), five
+/// streams (3 reads + 2 writes) — more streams than any preset has
+/// controllers, so distinct offsets produce distinct coverage patterns
+/// instead of one flat "fully spread" plateau. The `model_validate` bench
+/// binary builds the same workload by default.
+pub fn validation_workload(spec: &ChipSpec) -> Workload {
+    let period = spec.interleave_period();
+    // 16 threads per socket: single-socket chips keep their historical
+    // 16-thread setup; NUMA chips need the extra per-socket concurrency to
+    // be capacity-bound (at 16 threads total the socket split alone hides
+    // the convoy behind the latency ceiling, and offsets stop mattering).
+    let threads = spec.max_threads().min(16 * spec.n_sockets());
+    Workload::StreamMix {
+        reads: 3,
+        writes: 2,
+        n: (period / 8).max(256) * threads,
+        threads,
+        ntimes: 1,
+        warmup: false,
+    }
+}
+
+/// The layout sweep the model is validated over. Single-socket chips
+/// keep the full Fig. 4 offset sweep. On a NUMA chip the first-order
+/// layout axis is page *placement* — within one placement the simulator's
+/// offset microstructure at capacity-bound thread counts is dominated by
+/// cross-thread self-staggering (threads drift out of lockstep and wash
+/// out most convoys), which is noise no closed form should chase — so the
+/// NUMA sweep crosses all three placements with the two canonical
+/// offsets: fully aliased (0) and the advisor's one-controller step.
+pub fn validation_space(spec: &ChipSpec) -> ParamSpace {
+    let mut space = ParamSpace::offset_sweep_for(spec);
+    if spec.n_sockets() > 1 {
+        space.block_offsets = vec![0, spec.interleave_period() / spec.num_controllers()];
+        space = space.with_placements(PagePlacement::ALL.to_vec());
+    }
+    space
+}
+
+/// Thread counts the model matrix asks the serve path for, before the
+/// per-chip clamp.
+const SERVE_THREADS: [usize; 4] = [8, 16, 32, 64];
+
+/// A candidate's name: every coordinate of the layout.
+fn layout_label(spec: &LayoutSpec) -> String {
+    format!(
+        "ba{} sa{} sh{} bo{} {}",
+        spec.base_align,
+        spec.seg_align,
+        spec.shift,
+        spec.block_offset,
+        spec.placement.label()
+    )
+}
+
+/// The digest of everything the closed form says about `workload` under
+/// `layout`: every field of the model's placed prediction, then every
+/// field of the advisor's prediction for each lockstep unit, then the
+/// advisor's locality factor for the placement.
+fn model_digest(
+    model: &PerfModel,
+    advisor: &LayoutAdvisor,
+    workload: &Workload,
+    layout: &LayoutSpec,
+) -> u64 {
+    let shape = workload.model_shape(layout);
+    let p = model.predict_placed(&shape, layout.placement);
+    let mut d = Digest::default();
+    d.fold(&[
+        p.gbs.to_bits(),
+        p.cycles.to_bits(),
+        p.time_secs.to_bits(),
+        p.efficiency.to_bits(),
+        p.bound as u64,
+        p.concurrent_controllers.to_bits(),
+    ]);
+    for unit in &shape.units {
+        let a = advisor.predict(&unit.streams);
+        d.fold(&[
+            a.efficiency.to_bits(),
+            a.bound as u64,
+            a.concurrent_controllers.to_bits(),
+        ]);
+        d.fold(&a.controller_load);
+    }
+    d.fold(&[advisor.locality_factor(layout.placement).to_bits()]);
+    d.digest()
+}
+
+/// Runs the model matrix and returns `(name, digest)` per case, in order:
+///
+/// * every preset × every serve workload label × 8/16/32/64 threads
+///   (clamped to the chip, duplicates dropped), each built as the serve
+///   path builds it, at the advisor's layout and at every candidate of
+///   the space its refinement searches;
+/// * every preset's `model_validate` grid ([`validation_space`] over
+///   [`validation_workload`]).
+///
+/// The model is the surrogate the tuner and the serve path use
+/// ([`model_for_chip`]); the advisor is the chip's own
+/// ([`ChipSpec::advisor`]).
+pub fn run_model_digests() -> Vec<(String, u64)> {
+    let chips = PRESET_NAMES.map(|p| ChipSpec::preset(p).expect("registry preset resolves"));
+    let mut out = Vec::new();
+    for spec in &chips {
+        let model = model_for_chip(&ChipConfig::from_spec(spec));
+        let advisor = spec.advisor();
+        let mut threads = SERVE_THREADS
+            .map(|t| t.clamp(1, spec.max_threads()))
+            .to_vec();
+        threads.dedup();
+        for label in WORKLOAD_NAMES {
+            for &t in &threads {
+                let workload = resolve_workload(label, t).expect("serve labels resolve");
+                let space = if workload.tag().starts_with("lbm") {
+                    ParamSpace::lbm_padding_sweep()
+                } else {
+                    ParamSpace::offset_sweep_for(spec)
+                };
+                let mut layouts = vec![("advisor".to_string(), advisor.suggest_layout())];
+                layouts.extend(
+                    space
+                        .candidates()
+                        .into_iter()
+                        .map(|l| (layout_label(&l), l)),
+                );
+                for (tag, layout) in layouts {
+                    let digest = model_digest(&model, &advisor, &workload, &layout);
+                    out.push((format!("{}/{label}/t{t}/{tag}", spec.name), digest));
+                }
+            }
+        }
+    }
+    for spec in &chips {
+        let model = model_for_chip(&ChipConfig::from_spec(spec));
+        let advisor = spec.advisor();
+        let workload = validation_workload(spec);
+        for layout in validation_space(spec).candidates() {
+            let digest = model_digest(&model, &advisor, &workload, &layout);
+            out.push((
+                format!("{}/validate/{}", spec.name, layout_label(&layout)),
+                digest,
+            ));
+        }
+    }
+    out
 }
 
 fn field_u64(obj: &JsonValue, key: &str) -> u64 {
@@ -530,8 +702,8 @@ pub fn load_golden(path: &std::path::Path) -> Vec<(String, SimStats)> {
     })
 }
 
-/// Loads the committed probe-digest capture as `(name, digest)` pairs.
-pub fn load_probe_digests(path: &std::path::Path) -> Vec<(String, u64)> {
+/// Loads a committed digest capture as `(name, digest)` pairs.
+pub fn load_digests(path: &std::path::Path) -> Vec<(String, u64)> {
     load_cases(path, |obj| {
         let hex = obj
             .get("digest")

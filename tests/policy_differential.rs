@@ -18,16 +18,22 @@
 //!   controller services) in every case of both matrices. It was captured
 //!   from the engine before its FIFO and arbitrated controllers shared one
 //!   service step.
+//! * `tests/golden/model_predictions.json` pins the closed form: one digest
+//!   per case of the bits of every `t2opt-model` prediction field and
+//!   every advisor prediction field, over the layouts the serve path
+//!   scores and the `model_validate` grids. It was captured from the
+//!   advisor and the model while each still had its own phase walk.
 //!
-//! All three files are written by `examples/policy_golden.rs`. Cases of a
-//! deleted policy were cut from the last two as text, leaving every other
+//! All four files are written by `examples/policy_golden.rs`. Cases of a
+//! deleted policy were cut from two of them as text, leaving every other
 //! byte as captured. Every `SimStats` field and every digest is compared
-//! with `==`; a mismatch is a regression in the engine, not a reason to
-//! regenerate a golden file.
+//! with `==`; a mismatch is a regression in the engine or the closed form,
+//! not a reason to regenerate a golden file.
 
 use t2opt::golden::{
-    load_golden, load_probe_digests, run_engine_paths_matrix, run_matrix, run_probe_digests,
-    ENGINE_PATHS_GOLDEN_PATH, GOLDEN_PATH, PROBE_DIGESTS_GOLDEN_PATH,
+    load_digests, load_golden, run_engine_paths_matrix, run_matrix, run_model_digests,
+    run_probe_digests, ENGINE_PATHS_GOLDEN_PATH, GOLDEN_PATH, MODEL_GOLDEN_PATH,
+    PROBE_DIGESTS_GOLDEN_PATH,
 };
 use t2opt::sim::policy::PolicyKind;
 
@@ -56,7 +62,7 @@ fn assert_matches_golden<T: PartialEq + std::fmt::Debug>(
     }
     assert!(
         failures.is_empty(),
-        "the engine is no longer bitwise identical to {rel_path} \
+        "no longer bitwise identical to {rel_path} \
          ({} of {} cases differ):\n{}",
         failures.len(),
         golden.len(),
@@ -86,17 +92,24 @@ fn arbitrated_numa_and_overflow_stats_match_the_engine_paths_golden_bitwise() {
     assert_matches_golden(ENGINE_PATHS_GOLDEN_PATH, golden, run_engine_paths_matrix());
 }
 
-#[test]
-fn probe_streams_match_the_probe_digest_golden_bitwise() {
-    let golden = load_probe_digests(&golden_path(PROBE_DIGESTS_GOLDEN_PATH));
+/// Compares re-run digests against the committed capture at `rel_path`,
+/// printing both sides as 16 hex digits.
+fn assert_digests_match(rel_path: &str, current: Vec<(String, u64)>) {
     let hex = |v: Vec<(String, u64)>| -> Vec<(String, String)> {
         v.into_iter()
             .map(|(n, d)| (n, format!("{d:016x}")))
             .collect()
     };
-    assert_matches_golden(
-        PROBE_DIGESTS_GOLDEN_PATH,
-        hex(golden),
-        hex(run_probe_digests()),
-    );
+    let golden = load_digests(&golden_path(rel_path));
+    assert_matches_golden(rel_path, hex(golden), hex(current));
+}
+
+#[test]
+fn probe_streams_match_the_probe_digest_golden_bitwise() {
+    assert_digests_match(PROBE_DIGESTS_GOLDEN_PATH, run_probe_digests());
+}
+
+#[test]
+fn model_and_advisor_predictions_match_the_model_golden_bitwise() {
+    assert_digests_match(MODEL_GOLDEN_PATH, run_model_digests());
 }
