@@ -17,12 +17,10 @@
 //!   layouts), with problem size, thread count, and measurement protocol.
 //! - [`ParamSpace`] — the candidate grid over the four layout parameters.
 //! - [`SearchStrategy`] — how to walk it: [`SearchStrategy::Exhaustive`],
-//!   [`SearchStrategy::CoordinateDescent`],
-//!   [`SearchStrategy::AdvisorSeeded`] (start from the paper's closed form,
-//!   refine locally), [`SearchStrategy::SimulatedAnnealing`] (seeded,
-//!   deterministic; escapes the local optima of the non-separable space),
-//!   [`SearchStrategy::TransferSeeded`] (start from the best layout a
-//!   *different* kernel's sweep cached on the same chip), or
+//!   [`SearchStrategy::AdvisorSeeded`] (coordinate descent from the paper's
+//!   closed form), [`SearchStrategy::TransferSeeded`] (coordinate descent
+//!   from the best layout a *different* kernel's sweep cached on the same
+//!   chip; from the grid's origin when the cache holds none), or
 //!   [`SearchStrategy::ModelPruned`] (rank the whole grid with the
 //!   closed-form [`t2opt_model`] surrogate first — zero simulations — then
 //!   simulate only the model's top fraction; see [`surrogate`]).

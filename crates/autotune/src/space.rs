@@ -4,7 +4,8 @@
 //!
 //! The space is a cartesian product of per-dimension value lists, so every
 //! candidate has grid coordinates `[i0, i1, i2, i3, i4]` — which is what
-//! the coordinate-descent and advisor-seeded strategies walk.
+//! the tuner's descents walk, and what [`ParamSpace::indices`] enumerates
+//! for the strategies that cover the whole grid.
 
 use t2opt_core::chip::ChipSpec;
 use t2opt_core::layout::LayoutSpec;
@@ -168,28 +169,23 @@ impl ParamSpace {
             .placement(self.placements[idx[4]])
     }
 
+    /// Grid coordinates of every candidate in row-major order (the last
+    /// dimension varies fastest).
+    pub fn indices(&self) -> impl Iterator<Item = [usize; N_DIMS]> {
+        let dims = self.dims();
+        (0..self.len()).map(move |mut flat| {
+            let mut idx = [0; N_DIMS];
+            for d in (0..N_DIMS).rev() {
+                idx[d] = flat % dims[d];
+                flat /= dims[d];
+            }
+            idx
+        })
+    }
+
     /// All candidates in row-major order.
     pub fn candidates(&self) -> Vec<LayoutSpec> {
-        let mut out = Vec::with_capacity(self.len());
-        for &ba in &self.base_aligns {
-            for &sa in &self.seg_aligns {
-                for &sh in &self.shifts {
-                    for &bo in &self.block_offsets {
-                        for &pl in &self.placements {
-                            out.push(
-                                LayoutSpec::new()
-                                    .base_align(ba)
-                                    .seg_align(sa)
-                                    .shift(sh)
-                                    .block_offset(bo)
-                                    .placement(pl),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        out
+        self.indices().map(|idx| self.spec_at(idx)).collect()
     }
 
     /// Grid coordinates of the in-space candidate closest (per dimension,
@@ -241,6 +237,12 @@ mod tests {
         assert_eq!(all[0], space.spec_at([0, 0, 0, 0, 0]));
         assert_eq!(all[1], space.spec_at([0, 0, 0, 1, 0]));
         assert_eq!(all[7], space.spec_at([1, 1, 0, 1, 0]));
+        let idx: Vec<[usize; N_DIMS]> = space.indices().collect();
+        assert_eq!(idx[2], [0, 1, 0, 0, 0]);
+        assert_eq!(idx[4], [1, 0, 0, 0, 0]);
+        let mut sorted = idx.clone();
+        sorted.sort();
+        assert_eq!(idx, sorted, "row-major is lexicographic");
     }
 
     #[test]

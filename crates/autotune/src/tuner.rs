@@ -28,14 +28,6 @@ pub enum SearchStrategy {
     /// Measure every candidate of the space. Exact; cost is the product of
     /// the dimension sizes.
     Exhaustive,
-    /// Cyclic coordinate descent from the space's origin `[0, 0, 0, 0]`:
-    /// sweep one dimension at a time (each sweep is one parallel batch),
-    /// move to its best value, repeat until a full round improves nothing
-    /// or `max_rounds` is reached.
-    CoordinateDescent {
-        /// Upper bound on full rounds over the four dimensions.
-        max_rounds: usize,
-    },
     /// Coordinate descent seeded at the in-space candidate nearest to the
     /// analytic [`LayoutAdvisor::suggest_layout`] — the paper's closed-form
     /// optimum — and refined locally. When the model is right this
@@ -43,23 +35,8 @@ pub enum SearchStrategy {
     /// descent walks away from the seed and the report's agreement check
     /// flags it.
     AdvisorSeeded {
-        /// Upper bound on full rounds over the four dimensions.
+        /// Upper bound on full rounds over the grid's dimensions.
         max_rounds: usize,
-    },
-    /// Simulated annealing from the space's origin: a seeded xorshift64*
-    /// PRNG proposes single-coordinate moves, accepted by the Metropolis
-    /// rule on *relative* bandwidth loss under geometric cooling (fixed
-    /// endpoints [`ANNEAL_T0`] → [`ANNEAL_T_END`]). Unlike coordinate
-    /// descent this escapes the local optima of the non-separable
-    /// `(seg_align, shift, block_offset)` space — improving one parameter
-    /// alone can hurt until a second one moves with it. Fully
-    /// deterministic for a fixed `seed`; repeated proposals cost nothing
-    /// (the result cache absorbs them).
-    SimulatedAnnealing {
-        /// PRNG seed; equal seeds reproduce the identical trial sequence.
-        seed: u64,
-        /// Proposal steps (≈ upper bound on fresh simulations + 1).
-        steps: usize,
     },
     /// Surrogate pre-filter: the closed-form `t2opt-model` predictor (built
     /// from the *same* simulator configuration the trials run on, see
@@ -79,11 +56,13 @@ pub enum SearchStrategy {
     /// [`crate::cache::ResultCache::transfer_seed`] picks the
     /// relatively-best layout any other workload family measured on this
     /// chip (residue classes mod the chip's interleave period make layouts
-    /// transferable), and the
-    /// descent refines from there. With an empty or unrelated cache this
-    /// degrades gracefully to plain coordinate descent from the origin.
+    /// transferable), and the descent refines from there. With an empty or
+    /// unrelated cache it is the plain cyclic coordinate descent from the
+    /// space's origin `[0, 0, 0, 0, 0]`: sweep one dimension at a time
+    /// (each sweep is one parallel batch), move to its best value, repeat
+    /// until a full round improves nothing or `max_rounds` is reached.
     TransferSeeded {
-        /// Upper bound on full rounds over the four dimensions.
+        /// Upper bound on full rounds over the grid's dimensions.
         max_rounds: usize,
     },
 }
@@ -91,9 +70,6 @@ pub enum SearchStrategy {
 impl SearchStrategy {
     /// The default refinement budget used by the convenience constructors.
     pub const DEFAULT_ROUNDS: usize = 4;
-
-    /// The default annealing proposal budget.
-    pub const DEFAULT_STEPS: usize = 64;
 
     /// The default fraction of the grid the surrogate pre-filter keeps.
     /// Half (plus cutoff ties) is the smallest default that preserves the
@@ -103,25 +79,10 @@ impl SearchStrategy {
     /// below the top and a tighter cut would drop it.
     pub const DEFAULT_KEEP_PERCENT: u32 = 50;
 
-    /// Coordinate descent with the default round budget.
-    pub fn coordinate_descent() -> Self {
-        SearchStrategy::CoordinateDescent {
-            max_rounds: Self::DEFAULT_ROUNDS,
-        }
-    }
-
     /// Advisor-seeded descent with the default round budget.
     pub fn advisor_seeded() -> Self {
         SearchStrategy::AdvisorSeeded {
             max_rounds: Self::DEFAULT_ROUNDS,
-        }
-    }
-
-    /// Simulated annealing with the default step budget.
-    pub fn simulated_annealing(seed: u64) -> Self {
-        SearchStrategy::SimulatedAnnealing {
-            seed,
-            steps: Self::DEFAULT_STEPS,
         }
     }
 
@@ -227,6 +188,17 @@ impl TuneReport {
 /// Relative-quality gap above which the agreement check flags a trial.
 const DIVERGENCE_TOLERANCE: f64 = 0.25;
 
+/// What one [`Tuner::run`] measures, resolved from its strategy.
+enum Walk {
+    /// One parallel batch of grid points, in the given order.
+    Batch(Vec<[usize; N_DIMS]>),
+    /// Coordinate descent from `start` (see [`descend_impl`]).
+    Descent {
+        start: [usize; N_DIMS],
+        max_rounds: usize,
+    },
+}
+
 /// The empirical layout autotuner; see the module docs.
 pub struct Tuner {
     workload: Workload,
@@ -329,86 +301,50 @@ impl Tuner {
         let mut seen: BTreeMap<String, usize> = BTreeMap::new();
         let mut simulations_run = 0u64;
 
-        // Resolve strategy seeds before the walk borrows `self` for its
-        // objective closure.
-        let strategy = self.strategy;
-        let dims = self.space.dims();
-        let transfer_start = match strategy {
-            SearchStrategy::TransferSeeded { .. } => {
+        // Resolve what the strategy walks before the walk borrows `self`
+        // for its objective closure.
+        let mut transfer_seed_used = false;
+        let walk = match self.strategy {
+            SearchStrategy::Exhaustive => Walk::Batch(self.space.indices().collect()),
+            SearchStrategy::ModelPruned { keep_percent } => {
+                Walk::Batch(self.model_pruned_candidates(keep_percent))
+            }
+            SearchStrategy::AdvisorSeeded { max_rounds } => Walk::Descent {
+                start: self.space.nearest_index(&self.advisor().suggest_layout()),
+                max_rounds,
+            },
+            SearchStrategy::TransferSeeded { max_rounds } => {
                 let fingerprint = ResultCache::chip_fingerprint(&self.chip);
                 let period = self.chip.interleave_period();
-                self.cache
+                let seed = self
+                    .cache
                     .transfer_seed(&self.workload.tag(), &fingerprint, period)
-                    .map(|spec| self.space.nearest_index(&spec))
+                    .map(|spec| self.space.nearest_index(&spec));
+                transfer_seed_used = seed.is_some();
+                Walk::Descent {
+                    start: seed.unwrap_or([0; N_DIMS]),
+                    max_rounds,
+                }
             }
-            _ => None,
-        };
-        let transfer_seed_used = transfer_start.is_some();
-        let advisor_start = match strategy {
-            SearchStrategy::AdvisorSeeded { .. } => {
-                Some(self.space.nearest_index(&self.advisor().suggest_layout()))
-            }
-            _ => None,
-        };
-        let pruned = match strategy {
-            SearchStrategy::ModelPruned { keep_percent } => {
-                Some(self.model_pruned_candidates(keep_percent))
-            }
-            _ => None,
         };
 
-        {
-            let mut eval = |batch: &[[usize; N_DIMS]]| {
-                self.measure(
-                    batch,
-                    &pool,
-                    &mut trials,
-                    &mut seen,
-                    &mut simulations_run,
-                    &trial_ctx,
-                )
-            };
-            match strategy {
-                SearchStrategy::Exhaustive => {
-                    let mut all = Vec::with_capacity(dims.iter().product());
-                    for b in 0..dims[0] {
-                        for s in 0..dims[1] {
-                            for h in 0..dims[2] {
-                                for o in 0..dims[3] {
-                                    for p in 0..dims[4] {
-                                        all.push([b, s, h, o, p]);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    eval(&all);
-                }
-                SearchStrategy::CoordinateDescent { max_rounds } => {
-                    descend_impl(dims, [0; N_DIMS], max_rounds, &mut eval);
-                }
-                SearchStrategy::AdvisorSeeded { max_rounds } => {
-                    descend_impl(
-                        dims,
-                        advisor_start.expect("advisor seed resolved above"),
-                        max_rounds,
-                        &mut eval,
-                    );
-                }
-                SearchStrategy::SimulatedAnnealing { seed, steps } => {
-                    anneal_impl(dims, [0; N_DIMS], seed, steps, &mut eval);
-                }
-                SearchStrategy::ModelPruned { .. } => {
-                    eval(&pruned.expect("pruned candidates resolved above"));
-                }
-                SearchStrategy::TransferSeeded { max_rounds } => {
-                    descend_impl(
-                        dims,
-                        transfer_start.unwrap_or([0; N_DIMS]),
-                        max_rounds,
-                        &mut eval,
-                    );
-                }
+        let dims = self.space.dims();
+        let mut eval = |batch: &[[usize; N_DIMS]]| {
+            self.measure(
+                batch,
+                &pool,
+                &mut trials,
+                &mut seen,
+                &mut simulations_run,
+                &trial_ctx,
+            )
+        };
+        match walk {
+            Walk::Batch(batch) => {
+                eval(&batch);
+            }
+            Walk::Descent { start, max_rounds } => {
+                descend_impl(dims, start, max_rounds, &mut eval);
             }
         }
 
@@ -470,23 +406,15 @@ impl Tuner {
     fn model_pruned_candidates(&self, keep_percent: u32) -> Vec<[usize; N_DIMS]> {
         let keep_percent = keep_percent.clamp(1, 100) as usize;
         let model = crate::surrogate::model_for_chip(&self.chip);
-        let dims = self.space.dims();
-        let mut scored: Vec<([usize; N_DIMS], f64)> = Vec::with_capacity(self.space.len());
-        for b in 0..dims[0] {
-            for s in 0..dims[1] {
-                for h in 0..dims[2] {
-                    for o in 0..dims[3] {
-                        for pl in 0..dims[4] {
-                            let idx = [b, s, h, o, pl];
-                            let spec = self.space.spec_at(idx);
-                            let gbs =
-                                crate::surrogate::surrogate_score(&model, &self.workload, &spec);
-                            scored.push((idx, gbs));
-                        }
-                    }
-                }
-            }
-        }
+        let mut scored: Vec<([usize; N_DIMS], f64)> = self
+            .space
+            .indices()
+            .map(|idx| {
+                let spec = self.space.spec_at(idx);
+                let gbs = crate::surrogate::surrogate_score(&model, &self.workload, &spec);
+                (idx, gbs)
+            })
+            .collect();
         // Model-best first; equal scores keep row-major order so the kept
         // set is deterministic.
         scored.sort_by(|a, b| {
@@ -633,38 +561,13 @@ fn trial_span_name(spec: &LayoutSpec) -> String {
     )
 }
 
-/// Annealing start temperature (relative-bandwidth units: at `T0` a move
-/// costing 25 % of the current bandwidth is accepted with probability
-/// `1/e`).
-pub const ANNEAL_T0: f64 = 0.25;
-
-/// Annealing end temperature — cold enough that only near-neutral moves
-/// are still accepted in the final steps.
-pub const ANNEAL_T_END: f64 = 0.005;
-
-/// xorshift64\* step: fast, well-distributed, and trivially portable — the
-/// determinism the fixed-seed reproducibility tests pin down.
-fn xorshift64star(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-}
-
-/// Uniform draw in `[0, 1)` from the top 53 bits of one PRNG step.
-fn rand_unit(state: &mut u64) -> f64 {
-    (xorshift64star(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// Cyclic coordinate descent over the grid `dims` from `start`, driven by
 /// a batch objective (higher is better): sweep one dimension at a time,
 /// move to its best value, stop when a full round improves nothing or
 /// `max_rounds` is reached. Returns the final position and value.
 ///
-/// A free function over the objective so walkers are unit-testable against
-/// synthetic landscapes; [`Tuner::run`] passes a closure that simulates
+/// A free function over the objective so the descent is unit-testable
+/// against synthetic landscapes; [`Tuner::run`] passes a closure that simulates
 /// (cache-first) and records trials.
 pub(crate) fn descend_impl<F>(
     dims: [usize; N_DIMS],
@@ -710,62 +613,6 @@ where
         }
     }
     (cur, cur_gbs)
-}
-
-/// Simulated annealing over the grid `dims` from `start` (see
-/// [`SearchStrategy::SimulatedAnnealing`] for the schedule): each step
-/// proposes one random single-coordinate move, always accepts
-/// improvements, and accepts a relative loss `δ < 0` with probability
-/// `exp(δ / T)` under geometric cooling from [`ANNEAL_T0`] to
-/// [`ANNEAL_T_END`]. Returns the best position *ever visited* and its
-/// value (the walk itself may end somewhere worse).
-pub(crate) fn anneal_impl<F>(
-    dims: [usize; N_DIMS],
-    start: [usize; N_DIMS],
-    seed: u64,
-    steps: usize,
-    eval: &mut F,
-) -> ([usize; N_DIMS], f64)
-where
-    F: FnMut(&[[usize; N_DIMS]]) -> Vec<f64>,
-{
-    let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-    if state == 0 {
-        state = 0x2545_f491_4f6c_dd1d;
-    }
-    let mut cur = start;
-    let mut cur_gbs = eval(&[cur])[0];
-    let (mut best, mut best_gbs) = (cur, cur_gbs);
-    let movable: Vec<usize> = (0..N_DIMS).filter(|&d| dims[d] > 1).collect();
-    if movable.is_empty() {
-        return (best, best_gbs);
-    }
-    let denom = steps.saturating_sub(1).max(1) as f64;
-    for step in 0..steps {
-        let t = ANNEAL_T0 * (ANNEAL_T_END / ANNEAL_T0).powf(step as f64 / denom);
-        let dim = movable[(xorshift64star(&mut state) % movable.len() as u64) as usize];
-        // A uniformly random *different* value along `dim`.
-        let mut v = (xorshift64star(&mut state) % (dims[dim] as u64 - 1)) as usize;
-        if v >= cur[dim] {
-            v += 1;
-        }
-        let mut cand = cur;
-        cand[dim] = v;
-        let gbs = eval(&[cand])[0];
-        let accept = gbs >= cur_gbs || {
-            let delta_rel = (gbs - cur_gbs) / cur_gbs.max(f64::MIN_POSITIVE);
-            rand_unit(&mut state) < (delta_rel / t).exp()
-        };
-        if accept {
-            cur = cand;
-            cur_gbs = gbs;
-            if cur_gbs > best_gbs {
-                best = cur;
-                best_gbs = cur_gbs;
-            }
-        }
-    }
-    (best, best_gbs)
 }
 
 /// Builds the [`Agreement`] section: Spearman rank correlation plus the
@@ -899,9 +746,9 @@ mod tests {
     }
 
     #[test]
-    fn coordinate_descent_measures_fewer_trials_than_exhaustive() {
+    fn cold_transfer_seeded_descent_measures_fewer_trials_than_exhaustive() {
         let space = ParamSpace::t2_default();
-        let mut cd = smoke_tuner(space.clone()).strategy(SearchStrategy::coordinate_descent());
+        let mut cd = smoke_tuner(space.clone()).strategy(SearchStrategy::transfer_seeded());
         let report = cd.run();
         assert!(
             report.trials.len() < space.len(),
@@ -1061,7 +908,7 @@ mod tests {
     /// the origin is a local optimum for *both* axis sweeps — every
     /// single-coordinate move from (0, 0) loses — while the global optimum
     /// sits diagonally at (2, 2). Exactly the trap coordinate descent
-    /// cannot leave and annealing must.
+    /// cannot leave.
     const DECEPTIVE: [[f64; 3]; 3] = [[10.0, 6.0, 7.0], [6.0, 8.0, 9.0], [7.0, 9.0, 20.0]];
     const DECEPTIVE_DIMS: [usize; N_DIMS] = [1, 3, 3, 1, 1];
 
@@ -1074,66 +921,6 @@ mod tests {
         let (pos, val) = descend_impl(DECEPTIVE_DIMS, [0; N_DIMS], 8, &mut deceptive_eval);
         assert_eq!(pos, [0; N_DIMS], "every axis sweep from the origin loses");
         assert_eq!(val, 10.0);
-    }
-
-    #[test]
-    fn annealing_escapes_the_deceptive_landscape() {
-        let (pos, val) = anneal_impl(DECEPTIVE_DIMS, [0; N_DIMS], 7, 64, &mut deceptive_eval);
-        assert_eq!(val, 20.0, "annealing must reach the diagonal optimum");
-        assert_eq!(pos, [0, 2, 2, 0, 0]);
-        // The acceptance criterion, stated directly: annealing strictly
-        // beats coordinate descent here.
-        let (_, cd_val) = descend_impl(DECEPTIVE_DIMS, [0; N_DIMS], 8, &mut deceptive_eval);
-        assert!(val > cd_val);
-    }
-
-    #[test]
-    fn annealing_with_a_fixed_seed_reproduces_the_trial_sequence() {
-        let run = |seed: u64| {
-            let mut visits: Vec<[usize; N_DIMS]> = Vec::new();
-            let result = anneal_impl(DECEPTIVE_DIMS, [0; N_DIMS], seed, 48, &mut |batch| {
-                visits.extend_from_slice(batch);
-                deceptive_eval(batch)
-            });
-            (visits, result)
-        };
-        let (v1, r1) = run(1234);
-        let (v2, r2) = run(1234);
-        assert_eq!(v1, v2, "same seed, same proposal sequence");
-        assert_eq!(r1, r2);
-        let (v3, _) = run(99);
-        assert_ne!(v1, v3, "a different seed must explore differently");
-    }
-
-    #[test]
-    fn annealing_matches_or_beats_descent_on_the_simulator() {
-        let space = ParamSpace::t2_default();
-        let cd = smoke_tuner(space.clone())
-            .strategy(SearchStrategy::coordinate_descent())
-            .run();
-        let sa = smoke_tuner(space)
-            .strategy(SearchStrategy::simulated_annealing(42))
-            .run();
-        assert!(
-            sa.best.gbs >= cd.best.gbs,
-            "annealing must not lose to descent: {} vs {}",
-            sa.best.gbs,
-            cd.best.gbs
-        );
-    }
-
-    #[test]
-    fn annealing_with_fixed_seed_is_deterministic_end_to_end() {
-        let run = || {
-            smoke_tuner(ParamSpace::t2_default())
-                .strategy(SearchStrategy::simulated_annealing(7))
-                .run()
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.best.spec, b.best.spec);
-        assert_eq!(a.best.gbs, b.best.gbs);
-        let specs = |r: &TuneReport| r.trials.iter().map(|t| t.spec.clone()).collect::<Vec<_>>();
-        assert_eq!(specs(&a), specs(&b), "identical trial set, same order");
     }
 
     /// A Jacobi space with a *unique* optimum at (shift 64, offset 0) and

@@ -5,9 +5,7 @@
 //! ```text
 //! cargo run --release -p t2opt-bench --bin autotune                   # Fig. 4 offset sweep
 //! cargo run --release -p t2opt-bench --bin autotune -- --grid         # full 4-D default grid
-//! cargo run --release -p t2opt-bench --bin autotune -- --strategy descent
 //! cargo run --release -p t2opt-bench --bin autotune -- --strategy seeded
-//! cargo run --release -p t2opt-bench --bin autotune -- --strategy anneal --seed 42
 //! cargo run --release -p t2opt-bench --bin autotune -- --strategy transfer --cache tune.json
 //! cargo run --release -p t2opt-bench --bin autotune -- --strategy model   # surrogate pre-filter
 //! cargo run --release -p t2opt-bench --bin autotune -- --workload lbm-ijkv   # Fig. 7 sweep
@@ -25,8 +23,9 @@
 //! With `--cache`, re-running the same sweep is incremental: already
 //! measured candidates are served from the content-addressed cache and the
 //! report counts zero new simulations. A shared cache also powers
-//! `--strategy transfer`: the search starts from the best layout another
-//! kernel family cached on the same chip.
+//! `--strategy transfer`: the coordinate descent starts from the best
+//! layout another kernel family cached on the same chip, or from the
+//! grid's origin when there is none.
 //!
 //! `--telemetry <path>` prints the run's cache and pool counters
 //! (`telemetry: autotune.*` lines on stdout) and writes the run's trace —
@@ -137,17 +136,10 @@ fn main() {
     };
     let strategy = match args.get_str("strategy").unwrap_or("exhaustive") {
         "exhaustive" => SearchStrategy::Exhaustive,
-        "descent" => SearchStrategy::coordinate_descent(),
         "seeded" => SearchStrategy::advisor_seeded(),
-        "anneal" => SearchStrategy::simulated_annealing(args.get("seed", 42)),
         "transfer" => SearchStrategy::transfer_seeded(),
         "model" => SearchStrategy::model_pruned(),
-        other => {
-            panic!(
-                "unknown strategy {other:?} \
-                 (exhaustive | descent | seeded | anneal | transfer | model)"
-            )
-        }
+        other => panic!("unknown strategy {other:?} (exhaustive | seeded | transfer | model)"),
     };
 
     // One trace with room for `tune.run` and a span per candidate.

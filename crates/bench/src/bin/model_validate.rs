@@ -14,17 +14,18 @@
 //! `--check <rho>` turns the run into a gate: the process exits non-zero
 //! if any validated chip's Spearman correlation falls below the threshold
 //! (or is undefined). `--all` sweeps every registered preset instead of a
-//! single `--chip`; `--threads` / `--n` override the aliasing-sized
-//! defaults derived from each chip's interleave period.
+//! single `--chip`. Each chip runs the aliasing-sized workload and layout
+//! sweep of [`validation_workload`] and [`validation_space`], derived from
+//! its interleave period — the grid the model golden and the validation
+//! test pin.
 
 use serde::Serialize;
-use t2opt_autotune::surrogate::{model_for_chip, surrogate_score};
-use t2opt_autotune::{ParamSpace, SearchStrategy, Tuner, Workload};
+use t2opt_autotune::surrogate::{model_for_chip, validation_space, validation_workload};
+use t2opt_autotune::{SearchStrategy, Tuner};
 use t2opt_bench::{write_json, Args, Table};
 use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
 use t2opt_core::corr::spearman;
 use t2opt_core::layout::LayoutSpec;
-use t2opt_core::mapping::PagePlacement;
 use t2opt_sim::ChipConfig;
 
 /// One candidate of the sweep: the layout, what the simulator measured,
@@ -54,45 +55,11 @@ struct ModelValidateOutput {
     chips: Vec<ChipValidation>,
 }
 
-/// An aliasing-sized stream-mix workload for the given chip: per-thread
-/// segments are a multiple of the interleave period (so the packed layout
-/// fully aliases), and the default five-stream mix (3 reads + 2 writes)
-/// carries more streams than any registered preset has controllers — so
-/// distinct offsets produce genuinely distinct controller-coverage
-/// patterns instead of one indistinguishable "fully spread" plateau,
-/// which is what gives the rank correlation its resolving power.
-fn aliasing_workload(spec: &ChipSpec, args: &Args) -> (Workload, usize, usize) {
-    let period = spec.interleave_period();
-    // 16 threads per socket: NUMA chips need the extra per-socket
-    // concurrency to be capacity-bound (at 16 threads total the socket
-    // split alone hides the convoy behind the latency ceiling).
-    let threads = args.get("threads", spec.max_threads().min(16 * spec.n_sockets()));
-    let n = args.get("n", (period / 8).max(256) * threads);
-    let workload = Workload::StreamMix {
-        reads: args.get("reads", 3),
-        writes: args.get("writes", 2),
-        n,
-        threads,
-        ntimes: 1,
-        warmup: false,
-    };
-    (workload, threads, n)
-}
-
-fn validate_chip(spec: &ChipSpec, args: &Args) -> ChipValidation {
+fn validate_chip(spec: &ChipSpec) -> ChipValidation {
     let chip = ChipConfig::from_spec(spec);
-    let (workload, threads, n) = aliasing_workload(spec, args);
-    // Single-socket chips validate over the full Fig. 4 offset sweep. On a
-    // NUMA chip the first-order layout axis is page *placement* — within
-    // one placement the simulator's offset microstructure at
-    // capacity-bound thread counts is stagger noise — so the sweep crosses
-    // all three placements with the two canonical offsets (aliased, and
-    // the advisor's one-controller step).
-    let mut space = ParamSpace::offset_sweep_for(spec);
-    if spec.n_sockets() > 1 {
-        space.block_offsets = vec![0, spec.interleave_period() / spec.num_controllers()];
-        space = space.with_placements(PagePlacement::ALL.to_vec());
-    }
+    let workload = validation_workload(spec);
+    let space = validation_space(spec);
+    let (threads, n) = (workload.threads(), workload.n());
 
     eprintln!(
         "model_validate: {} layout sweep, {} candidates, {threads} threads, N = {n}",
@@ -109,12 +76,11 @@ fn validate_chip(spec: &ChipSpec, args: &Args) -> ChipValidation {
         .trials
         .iter()
         .map(|t| {
-            let shape = workload.model_shape(&t.spec);
-            let p = model.predict(&shape);
+            let p = model.predict_placed(&workload.model_shape(&t.spec), t.spec.placement);
             Candidate {
                 spec: t.spec.clone(),
                 measured_gbs: t.gbs,
-                model_gbs: surrogate_score(&model, &workload, &t.spec),
+                model_gbs: p.gbs,
                 model_efficiency: p.efficiency,
             }
         })
@@ -156,7 +122,7 @@ fn main() {
             );
             std::process::exit(2);
         };
-        chips.push(validate_chip(&spec, &args));
+        chips.push(validate_chip(&spec));
     }
 
     for v in &chips {

@@ -2,6 +2,8 @@
 //! rows the figure plots. The binaries are thin wrappers around these.
 
 use serde::Serialize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use t2opt_kernels::jacobi::{self, JacobiConfig, JacobiLayout};
 use t2opt_kernels::lbm::{self, LbmConfig, LbmLayout};
 use t2opt_kernels::stream::{self, StreamConfig, StreamKernel};
@@ -22,60 +24,29 @@ where
         .map(|n| n.get())
         .unwrap_or(4)
         .min(items.len().max(1));
-    let results: Vec<once_cell_mini::OnceCell<R>> = (0..items.len())
-        .map(|_| once_cell_mini::OnceCell::new())
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
+    // One slot per item, each filled by exactly the worker that claimed
+    // its index, then read after the scope joins.
+    let results: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= items.len() {
                     break;
                 }
-                results[i].set(f(&items[i]));
+                *results[i].lock().expect("slot lock") = Some(f(&items[i]));
             });
         }
     });
-    results.into_iter().map(|c| c.take()).collect()
-}
-
-/// A tiny once-cell so `par_map` needs no extra dependencies.
-mod once_cell_mini {
-    use std::cell::UnsafeCell;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub struct OnceCell<T> {
-        set: AtomicBool,
-        value: UnsafeCell<Option<T>>,
-    }
-
-    // SAFETY: each cell is written exactly once by exactly one thread (the
-    // index partition in par_map), then read after the scope joins.
-    unsafe impl<T: Send> Sync for OnceCell<T> {}
-    unsafe impl<T: Send> Send for OnceCell<T> {}
-
-    impl<T> OnceCell<T> {
-        pub fn new() -> Self {
-            OnceCell {
-                set: AtomicBool::new(false),
-                value: UnsafeCell::new(None),
-            }
-        }
-
-        pub fn set(&self, v: T) {
-            assert!(!self.set.swap(true, Ordering::AcqRel), "OnceCell set twice");
-            // SAFETY: the swap above guarantees exclusive access.
-            unsafe { *self.value.get() = Some(v) };
-        }
-
-        pub fn take(self) -> T {
-            assert!(self.set.load(Ordering::Acquire), "OnceCell never set");
-            self.value
-                .into_inner()
-                .expect("value present when flag set")
-        }
-    }
+    results
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("slot lock")
+                .expect("every item is mapped")
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------

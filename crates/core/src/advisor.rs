@@ -789,4 +789,29 @@ mod tests {
             "fold should spread congruent streams, got {folded}"
         );
     }
+
+    #[test]
+    fn convoy_takes_its_tie_with_the_hotspot() {
+        use crate::mapping::AddressMap;
+        // Over a period of a sliced or page-interleaved map every
+        // controller carries the same load, so the convoy and hotspot
+        // bounds never tie above the ideal there. The XOR fold
+        // `ablation_mapping` runs does: this set walks 128 phases to a
+        // hottest controller of 196, equal to the convoy sum, against an
+        // ideal of 192.
+        let adv = LayoutAdvisor::new(MapPolicy::XorFold {
+            base: AddressMap::ultrasparc_t2(),
+            folds: 10,
+        });
+        let streams = [
+            StreamDesc::read(0x1000_0000),
+            StreamDesc::write(0x1000_0040),
+            StreamDesc::writeback(0x1000_0180),
+        ];
+        let a = adv.analyze(&streams, 1, 2);
+        assert_eq!(a.phases, 128);
+        assert_eq!(a.load, vec![188, 196, 189, 195]);
+        assert_eq!(a.convoy, 196);
+        assert_eq!(adv.predict(&streams).bound, Bound::Convoy);
+    }
 }

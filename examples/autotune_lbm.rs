@@ -7,10 +7,6 @@
 //!
 //! Run with: `cargo run --release --example autotune_lbm`
 //! Larger:   `cargo run --release --example autotune_lbm -- --full`
-//!
-//! The second half re-runs the IJKv search with seeded simulated
-//! annealing and shows it converging to the same winner as the
-//! exhaustive sweep.
 
 use t2opt::kernels::lbm::LbmLayout;
 use t2opt::prelude::*;
@@ -24,22 +20,18 @@ fn main() {
     let (n, threads) = if full { (34, 64) } else { (34, 16) };
     println!("autotuning D3Q19 LBM: {n}³ interior, {threads} threads\n");
 
-    let tune = |layout, strategy| {
+    let packed = LayoutSpec::new().base_align(8192);
+    let mut reports = Vec::new();
+    for layout in [LbmLayout::IJKv, LbmLayout::IvJK] {
         let workload = if full {
             Workload::lbm(n, layout, threads)
         } else {
             Workload::lbm_smoke(n, layout, threads)
         };
-        Tuner::new(workload, chip.clone(), ParamSpace::lbm_padding_sweep())
-            .strategy(strategy)
+        let report = Tuner::new(workload, chip.clone(), ParamSpace::lbm_padding_sweep())
+            .strategy(SearchStrategy::Exhaustive)
             .pool_threads(4)
-            .run()
-    };
-
-    let packed = LayoutSpec::new().base_align(8192);
-    let mut reports = Vec::new();
-    for layout in [LbmLayout::IJKv, LbmLayout::IvJK] {
-        let report = tune(layout, SearchStrategy::Exhaustive);
+            .run();
         println!("{layout:?}: seg_align shift block_offset  GB/s");
         for t in &report.trials {
             println!(
@@ -57,16 +49,7 @@ fn main() {
         reports.push(report);
     }
     println!(
-        "Fig. 7 asymmetry: IJKv wants shift {} (aliased stride), IvJK shift {} (natural skew)\n",
+        "Fig. 7 asymmetry: IJKv wants shift {} (aliased stride), IvJK shift {} (natural skew)",
         reports[0].best.spec.shift, reports[1].best.spec.shift
     );
-
-    // A seeded annealing run walks a fraction of the grid yet lands on the
-    // exhaustive winner — and with a fixed seed it is fully reproducible.
-    let annealed = tune(LbmLayout::IJKv, SearchStrategy::simulated_annealing(42));
-    println!(
-        "annealed IJKv (seed 42): best {:?} at {:.3} GB/s after {} simulations",
-        annealed.best.spec, annealed.best.gbs, annealed.simulations_run
-    );
-    assert_eq!(annealed.best.spec, reports[0].best.spec);
 }

@@ -55,7 +55,7 @@
 //! [`Prediction`]: t2opt_core::advisor::Prediction
 
 use std::collections::BTreeMap;
-use t2opt_autotune::surrogate::model_for_chip;
+use t2opt_autotune::surrogate::{model_for_chip, validation_space, validation_workload};
 use t2opt_autotune::{ParamSpace, Workload};
 use t2opt_core::advisor::LayoutAdvisor;
 use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
@@ -478,46 +478,6 @@ pub fn run_probe_digests() -> Vec<(String, u64)> {
         .chain(engine_paths_cases())
         .map(Case::probe_digest)
         .collect()
-}
-
-/// The `model_validate` workload for `spec`: per-thread segments ≡ 0 mod
-/// the interleave period (so the packed layout fully aliases), five
-/// streams (3 reads + 2 writes) — more streams than any preset has
-/// controllers, so distinct offsets produce distinct coverage patterns
-/// instead of one flat "fully spread" plateau. The `model_validate` bench
-/// binary builds the same workload by default.
-pub fn validation_workload(spec: &ChipSpec) -> Workload {
-    let period = spec.interleave_period();
-    // 16 threads per socket: single-socket chips keep their historical
-    // 16-thread setup; NUMA chips need the extra per-socket concurrency to
-    // be capacity-bound (at 16 threads total the socket split alone hides
-    // the convoy behind the latency ceiling, and offsets stop mattering).
-    let threads = spec.max_threads().min(16 * spec.n_sockets());
-    Workload::StreamMix {
-        reads: 3,
-        writes: 2,
-        n: (period / 8).max(256) * threads,
-        threads,
-        ntimes: 1,
-        warmup: false,
-    }
-}
-
-/// The layout sweep the model is validated over. Single-socket chips
-/// keep the full Fig. 4 offset sweep. On a NUMA chip the first-order
-/// layout axis is page *placement* — within one placement the simulator's
-/// offset microstructure at capacity-bound thread counts is dominated by
-/// cross-thread self-staggering (threads drift out of lockstep and wash
-/// out most convoys), which is noise no closed form should chase — so the
-/// NUMA sweep crosses all three placements with the two canonical
-/// offsets: fully aliased (0) and the advisor's one-controller step.
-pub fn validation_space(spec: &ChipSpec) -> ParamSpace {
-    let mut space = ParamSpace::offset_sweep_for(spec);
-    if spec.n_sockets() > 1 {
-        space.block_offsets = vec![0, spec.interleave_period() / spec.num_controllers()];
-        space = space.with_placements(PagePlacement::ALL.to_vec());
-    }
-    space
 }
 
 /// Thread counts the model matrix asks the serve path for, before the

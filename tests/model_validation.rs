@@ -4,9 +4,10 @@
 //! (Spearman ≥ 0.9), and the surrogate-pruned tuner must reproduce the
 //! exhaustive winner with strictly fewer simulations.
 
-use t2opt::golden::{validation_space, validation_workload};
 use t2opt::prelude::*;
-use t2opt_autotune::surrogate::{model_for_chip, surrogate_score};
+use t2opt_autotune::surrogate::{
+    model_for_chip, surrogate_score, validation_space, validation_workload,
+};
 use t2opt_core::chip::PRESET_NAMES;
 use t2opt_core::corr::spearman;
 
