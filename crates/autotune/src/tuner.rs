@@ -17,7 +17,8 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use t2opt_core::advisor::LayoutAdvisor;
 use t2opt_core::layout::LayoutSpec;
-use t2opt_parallel::{Schedule, ThreadPool};
+use t2opt_kernels::common::place_threads;
+use t2opt_parallel::{Placement, Schedule, ThreadPool};
 use t2opt_sim::{ChipConfig, Simulation};
 use t2opt_telemetry::metrics::Sink;
 use t2opt_telemetry::trace::TraceCtx;
@@ -493,6 +494,7 @@ impl Tuner {
             let workload = &self.workload;
             let chip = &self.chip;
             let n_cores = self.chip.core.n_cores;
+            let scatter = Placement::Scatter { n_cores };
             let run_specs: Vec<&LayoutSpec> = to_run.iter().map(|&i| &specs[i]).collect();
             pool.parallel_for(0..to_run.len(), Schedule::Dynamic(1), |tid, chunk| {
                 for j in chunk {
@@ -510,7 +512,7 @@ impl Tuner {
                         sim = sim.measure_after_barrier(0);
                     }
                     let programs = workload.build_programs(spec);
-                    let stats = sim.run_programs(programs, |tid| tid % n_cores);
+                    let stats = sim.run(place_threads(programs, &scatter, n_cores));
                     let gbs = stats.reported_bandwidth_gbs(chip, workload.reported_bytes());
                     *slots[j].lock().expect("slot lock") = Some(gbs);
                 }

@@ -3,11 +3,12 @@
 //! A [`Workload`] fixes everything about a trial *except* the layout: which
 //! streams the kernel touches, the problem size, the thread count, and the
 //! measurement protocol (warm-up sweep + measured repetitions). Given a
-//! candidate [`LayoutSpec`] it builds the per-thread simulator programs —
-//! every array `j` is laid out with block offset `j · spec.block_offset`
-//! and split into per-thread segments, reproducing the paper's Fig. 4
-//! setup — and, for the advisor cross-check, the equivalent analytic
-//! [`StreamDesc`] sets.
+//! candidate [`LayoutSpec`] it lays out every array — array `j` with block
+//! offset `j · spec.block_offset`, split into per-thread segments,
+//! reproducing the paper's Fig. 4 setup — and walks each sweep's lockstep
+//! units once. That one unit list feeds the per-thread simulator programs
+//! ([`Workload::build_programs`]), the advisor cross-check and the model's
+//! [`KernelShape`] ([`Workload::stream_units`]).
 
 use serde::Serialize;
 use t2opt_core::advisor::{LayoutAdvisor, StreamDesc, StreamKind};
@@ -16,7 +17,7 @@ use t2opt_kernels::common::VirtualAlloc;
 use t2opt_kernels::lbm::{LbmLayout, C, FLOPS_PER_SITE, Q};
 use t2opt_model::{KernelShape, StreamUnit};
 use t2opt_parallel::{chunk_assignment, Schedule};
-use t2opt_sim::trace::{chain_with_barriers, Program, StreamLoop, StreamSpec};
+use t2opt_sim::trace::{chain_with_barriers, Dir, Program, StreamLoop, StreamSpec};
 use t2opt_sim::ChipConfig;
 
 /// A tunable workload: a stream mix or a named kernel loop.
@@ -78,8 +79,10 @@ pub enum Workload {
     /// `y_rows` sampled rows per plane), z-planes statically chunked over
     /// threads.
     ///
-    /// This variant must stay *last* in the enum: [`crate::cache`] keys are
-    /// serialized workloads, and appending keeps old keys stable.
+    /// [`crate::cache`] and store keys are serialized workloads. The JSON
+    /// serializer writes variant names, not indices, so the order of the
+    /// variants does not matter; what keeps old keys stable is each
+    /// variant's name and its fields' names and order.
     Lbm {
         /// Cubic domain side N without halo (`n ≥ 2`; grids are `(N+2)³`).
         n: usize,
@@ -96,6 +99,14 @@ pub enum Workload {
         /// Whether to run (and exclude) a cache-warming sweep first.
         warmup: bool,
     },
+}
+
+/// One lockstep unit of a sweep: the thread that runs it, its concurrent
+/// streams at absolute addresses, and the elements each stream walks.
+struct Unit {
+    thread: usize,
+    streams: Vec<StreamSpec>,
+    elems: usize,
 }
 
 impl Workload {
@@ -348,247 +359,145 @@ impl Workload {
             .collect()
     }
 
-    /// Builds the per-thread simulator programs for one trial of `spec`:
-    /// thread `t` sweeps its segment of every array, `warmup + ntimes`
-    /// times, with a global barrier between sweeps. With warm-up enabled
-    /// the measurement window opens at barrier 0 (use
-    /// [`t2opt_sim::Simulation::measure_after_barrier`]).
-    pub fn build_programs(&self, spec: &LayoutSpec) -> Vec<Program> {
-        if let Workload::Jacobi {
-            dim,
-            threads,
-            ntimes,
-            warmup,
-        } = self
-        {
-            return self.build_jacobi_programs(spec, *dim, *threads, *ntimes, *warmup);
-        }
-        if let Workload::Lbm { .. } = self {
-            return self.build_lbm_programs(spec);
-        }
-        let kinds = self.kinds();
+    /// Sweep `sweep`'s lockstep units under `spec`, in the order
+    /// [`Workload::stream_units`] returns them: one per thread segment for
+    /// the stream mixes and the triad; one per interior Jacobi row `i`,
+    /// run by thread `(i − 1) mod threads` (the paper's `static,1`); one
+    /// per sampled LBM row, z-planes statically chunked over threads (the
+    /// paper's z-parallelization). Odd sweeps read Jacobi's and LBM's
+    /// second toggle grid. An LBM row loads its 19 distributions and pushes
+    /// 19 stores into the neighbor rows of the other grid, addressed through
+    /// the candidate's segmented layout, so padding and shift between
+    /// velocity blocks (IJKv) or (y, z) pencils (IvJK) move the stream
+    /// bases exactly as the Fig. 7 hand-tuning does.
+    fn units(&self, spec: &LayoutSpec, sweep: usize) -> Vec<Unit> {
         let arrays = self.layout_arrays(spec);
-        let sweeps = self.ntimes() as usize + usize::from(self.warmup());
-        let flops = self.flops_per_elem();
-        (0..self.threads())
-            .map(|t| {
-                let phases: Vec<StreamLoop> = (0..sweeps)
-                    .map(|_| {
-                        let streams: Vec<StreamSpec> = arrays
-                            .iter()
-                            .zip(kinds.iter())
-                            .map(|((base, layout), kind)| {
-                                let addr = base + layout.seg_byte_starts[t] as u64;
-                                match kind {
-                                    StreamKind::Read => StreamSpec::load(addr),
-                                    _ => StreamSpec::store(addr),
-                                }
-                            })
-                            .collect();
-                        StreamLoop::new(streams, arrays[0].1.seg_sizes[t], 8, flops, 64)
+        let (src, dst) = (sweep % 2, 1 - sweep % 2);
+        match *self {
+            Workload::Jacobi { dim, threads, .. } => {
+                let row = |g: usize, i: usize| arrays[g].0 + arrays[g].1.seg_byte_starts[i] as u64;
+                (1..dim - 1)
+                    .map(|i| Unit {
+                        thread: (i - 1) % threads,
+                        streams: vec![
+                            StreamSpec::load(row(src, i - 1)),
+                            StreamSpec::load(row(src, i)),
+                            StreamSpec::load(row(src, i + 1)),
+                            StreamSpec::store(row(dst, i)),
+                        ],
+                        elems: dim,
                     })
-                    .collect();
-                chain_with_barriers(phases, 0)
-            })
-            .collect()
-    }
-
-    /// Per-thread Jacobi programs: each sweep streams the thread's interior
-    /// rows (round-robin ownership, the paper's `static,1`) with the toggle
-    /// grids swapping roles between barrier-separated sweeps.
-    fn build_jacobi_programs(
-        &self,
-        spec: &LayoutSpec,
-        dim: usize,
-        threads: usize,
-        ntimes: u32,
-        warmup: bool,
-    ) -> Vec<Program> {
-        let arrays = self.layout_arrays(spec);
-        let row_base = |g: usize, i: usize| arrays[g].0 + arrays[g].1.seg_byte_starts[i] as u64;
-        let total_sweeps = ntimes as usize + usize::from(warmup);
-        (0..threads)
-            .map(|t| {
-                let mut sweeps = Vec::new();
-                for s in 0..total_sweeps {
-                    let (src, dst) = if s % 2 == 0 { (0, 1) } else { (1, 0) };
-                    let rows: Vec<StreamLoop> = (1..dim - 1)
-                        .filter(|i| (i - 1) % threads == t)
-                        .map(|i| {
-                            StreamLoop::new(
-                                vec![
-                                    StreamSpec::load(row_base(src, i - 1)),
-                                    StreamSpec::load(row_base(src, i)),
-                                    StreamSpec::load(row_base(src, i + 1)),
-                                    StreamSpec::store(row_base(dst, i)),
-                                ],
-                                dim,
-                                8,
-                                self.flops_per_elem(),
-                                64,
-                            )
-                        })
-                        .collect();
-                    sweeps.push(rows.into_iter().flatten());
-                }
-                chain_with_barriers(sweeps, 0)
-            })
-            .collect()
-    }
-
-    /// Per-thread (z, y) row list for [`Workload::Lbm`]: interior z-planes
-    /// statically chunked over threads (the paper's z-parallelization),
-    /// the first `y_eff` interior rows sampled in each plane.
-    fn lbm_rows(n: usize, threads: usize, y_rows: usize) -> Vec<Vec<(usize, usize)>> {
-        let y_eff = Self::lbm_y_eff(n, y_rows);
-        chunk_assignment(Schedule::Static, n, threads)
-            .into_iter()
-            .map(|chunks| {
-                chunks
-                    .iter()
-                    .flat_map(|ch| ch.range())
-                    .flat_map(|zi| (1..=y_eff).map(move |y| (zi + 1, y)))
                     .collect()
-            })
-            .collect()
-    }
-
-    /// Per-thread D3Q19 propagation programs: each sweep streams, for every
-    /// owned row, the 19 loads of the row's distributions plus the 19
-    /// pushed stores into the neighbor rows of the other toggle grid —
-    /// addressed through the candidate's segmented layout, so padding and
-    /// shift between velocity blocks (IJKv) or (y, z) pencils (IvJK) move
-    /// the stream bases exactly as the Fig. 7 hand-tuning does.
-    fn build_lbm_programs(&self, spec: &LayoutSpec) -> Vec<Program> {
-        let (n, layout, threads, y_rows, ntimes, warmup) = match self {
+            }
             Workload::Lbm {
                 n,
                 layout,
                 threads,
                 y_rows,
-                ntimes,
-                warmup,
-            } => (*n, *layout, *threads, *y_rows, *ntimes, *warmup),
-            _ => unreachable!("build_lbm_programs on a non-LBM workload"),
-        };
-        let d = n + 2;
-        let arrays = self.layout_arrays(spec);
-        let addr = |g: usize, x: usize, y: usize, z: usize, v: usize| -> u64 {
-            let (seg, local) = layout.seg_coords(d, x, y, z, v);
-            arrays[g].0 + arrays[g].1.elem_byte_offset(seg, local) as u64
-        };
-        let rows_per_thread = Self::lbm_rows(n, threads, y_rows);
-        let total_sweeps = ntimes as usize + usize::from(warmup);
-        (0..threads)
-            .map(|t| {
-                let rows = &rows_per_thread[t];
-                let mut phases = Vec::new();
-                for s in 0..total_sweeps {
-                    let (src, dst) = if s % 2 == 0 { (0, 1) } else { (1, 0) };
-                    let mut row_loops: Vec<StreamLoop> = Vec::new();
-                    for &(z, y) in rows {
-                        let mut streams = Vec::with_capacity(2 * Q);
-                        for v in 0..Q {
-                            streams.push(StreamSpec::load(addr(src, 1, y, z, v)));
+                ..
+            } => {
+                let addr = |g: usize, x: usize, y: usize, z: usize, v: usize| {
+                    let (seg, local) = layout.seg_coords(n + 2, x, y, z, v);
+                    arrays[g].0 + arrays[g].1.elem_byte_offset(seg, local) as u64
+                };
+                let mut units = Vec::new();
+                let owned = chunk_assignment(Schedule::Static, n, threads);
+                for (thread, chunks) in owned.iter().enumerate() {
+                    for z in chunks.iter().flat_map(|ch| ch.range()).map(|zi| zi + 1) {
+                        for y in 1..=Self::lbm_y_eff(n, y_rows) {
+                            let loads = (0..Q).map(|v| StreamSpec::load(addr(src, 1, y, z, v)));
+                            let pushes = C.iter().enumerate().map(|(v, &(cx, cy, cz))| {
+                                let (ny, nz) = ((y as i32 + cy) as usize, (z as i32 + cz) as usize);
+                                StreamSpec::store(addr(dst, (1 + cx) as usize, ny, nz, v))
+                            });
+                            units.push(Unit {
+                                thread,
+                                streams: loads.chain(pushes).collect(),
+                                elems: n,
+                            });
                         }
-                        for (v, &(cx, cy, cz)) in C.iter().enumerate() {
-                            let nx = (1 + cx) as usize;
-                            let ny = (y as i32 + cy) as usize;
-                            let nz = (z as i32 + cz) as usize;
-                            streams.push(StreamSpec::store(addr(dst, nx, ny, nz, v)));
-                        }
-                        row_loops.push(
-                            StreamLoop::new(streams, n, 8, FLOPS_PER_SITE, 64)
-                                // Two touches per line keep the set-thrash
-                                // re-misses visible (as in kernels::lbm).
-                                .with_touches(2),
-                        );
                     }
-                    phases.push(row_loops.into_iter().flatten());
                 }
-                chain_with_barriers(phases, 0)
-            })
+                units
+            }
+            _ => {
+                let kinds = self.kinds();
+                (0..self.threads())
+                    .map(|thread| Unit {
+                        thread,
+                        streams: arrays
+                            .iter()
+                            .zip(&kinds)
+                            .map(|((base, layout), kind)| {
+                                let addr = base + layout.seg_byte_starts[thread] as u64;
+                                match kind {
+                                    StreamKind::Read => StreamSpec::load(addr),
+                                    _ => StreamSpec::store(addr),
+                                }
+                            })
+                            .collect(),
+                        elems: arrays[0].1.seg_sizes[thread],
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// Builds the per-thread simulator programs for one trial of `spec`
+    /// from the same units [`Workload::stream_units`] hands the advisor
+    /// and the model: each of the `warmup + ntimes` sweeps moves its units
+    /// into their threads' [`StreamLoop`]s, with a global barrier between
+    /// sweeps. LBM rows touch every line twice, which keeps the set-thrash
+    /// re-misses visible (as in `t2opt_kernels::lbm`). With warm-up
+    /// enabled the measurement window opens at barrier 0 (use
+    /// [`t2opt_sim::Simulation::measure_after_barrier`]).
+    pub fn build_programs(&self, spec: &LayoutSpec) -> Vec<Program> {
+        let touches = if matches!(self, Workload::Lbm { .. }) {
+            2
+        } else {
+            1
+        };
+        let flops = self.flops_per_elem();
+        let sweeps = self.ntimes() as usize + usize::from(self.warmup());
+        let mut phases: Vec<Vec<_>> = (0..self.threads()).map(|_| Vec::new()).collect();
+        for sweep in 0..sweeps {
+            let mut loops: Vec<Vec<StreamLoop>> = (0..self.threads()).map(|_| Vec::new()).collect();
+            for u in self.units(spec, sweep) {
+                let body = StreamLoop::new(u.streams, u.elems, 8, flops, 64);
+                loops[u.thread].push(body.with_touches(touches));
+            }
+            for (thread_phases, thread_loops) in phases.iter_mut().zip(loops) {
+                thread_phases.push(thread_loops.into_iter().flatten());
+            }
+        }
+        phases
+            .into_iter()
+            .map(|p| chain_with_barriers(p, 0))
             .collect()
     }
 
     /// The workload's lockstep units under `spec`: for each analysis unit
     /// (a thread's segment sweep; an interior Jacobi row; a sampled LBM
-    /// row) the concurrent stream set at its absolute layout addresses,
-    /// plus the cache lines each stream advances over the measured sweeps.
-    /// This is the single source both predictors consume — the advisor's
-    /// relative [`Workload::predicted_efficiency`] and the closed-form
-    /// [`t2opt_model::PerfModel`] via [`Workload::model_shape`] — so the
-    /// two can never drift apart on what the kernel accesses.
+    /// row) the concurrent stream set of the first sweep at its absolute
+    /// layout addresses, plus the cache lines each stream advances over
+    /// the measured sweeps. One unit list feeds the simulator programs
+    /// ([`Workload::build_programs`]), the advisor's relative
+    /// [`Workload::predicted_efficiency`] and the closed-form
+    /// [`t2opt_model::PerfModel`] via [`Workload::model_shape`], so none
+    /// of them can drift from what the kernel accesses.
     pub fn stream_units(&self, spec: &LayoutSpec) -> Vec<StreamUnit> {
-        let ntimes = self.ntimes() as u64;
-        let lines_of = |elems: usize| ((elems * 8) as u64).div_ceil(64) * ntimes;
-        if let Workload::Jacobi { dim, .. } = self {
-            let dim = *dim;
-            let arrays = self.layout_arrays(spec);
-            let row_base = |g: usize, i: usize| arrays[g].0 + arrays[g].1.seg_byte_starts[i] as u64;
-            return (1..dim - 1)
-                .map(|i| {
-                    StreamUnit::new(
-                        vec![
-                            StreamDesc::read(row_base(0, i - 1)),
-                            StreamDesc::read(row_base(0, i)),
-                            StreamDesc::read(row_base(0, i + 1)),
-                            StreamDesc::write(row_base(1, i)),
-                        ],
-                        lines_of(dim),
-                    )
-                })
-                .collect();
-        }
-        if let Workload::Lbm {
-            n,
-            layout,
-            threads,
-            y_rows,
-            ..
-        } = self
-        {
-            let (n, layout) = (*n, *layout);
-            let d = n + 2;
-            let arrays = self.layout_arrays(spec);
-            let addr = |g: usize, x: usize, y: usize, z: usize, v: usize| -> u64 {
-                let (seg, local) = layout.seg_coords(d, x, y, z, v);
-                arrays[g].0 + arrays[g].1.elem_byte_offset(seg, local) as u64
-            };
-            return Self::lbm_rows(n, *threads, *y_rows)
-                .into_iter()
-                .flatten()
-                .map(|(z, y)| {
-                    let mut streams = Vec::with_capacity(2 * Q);
-                    for v in 0..Q {
-                        streams.push(StreamDesc::read(addr(0, 1, y, z, v)));
-                    }
-                    for (v, &(cx, cy, cz)) in C.iter().enumerate() {
-                        streams.push(StreamDesc::write(addr(
-                            1,
-                            (1 + cx) as usize,
-                            (y as i32 + cy) as usize,
-                            (z as i32 + cz) as usize,
-                            v,
-                        )));
-                    }
-                    StreamUnit::new(streams, lines_of(n))
-                })
-                .collect();
-        }
-        let kinds = self.kinds();
-        let arrays = self.layout_arrays(spec);
-        (0..self.threads())
-            .map(|t| {
-                let streams: Vec<StreamDesc> = arrays
-                    .iter()
-                    .zip(kinds.iter())
-                    .map(|((base, layout), &kind)| StreamDesc {
-                        base: base + layout.seg_byte_starts[t] as u64,
-                        kind,
-                    })
-                    .collect();
-                StreamUnit::new(streams, lines_of(arrays[0].1.seg_sizes[t]))
+        let ntimes = u64::from(self.ntimes());
+        self.units(spec, 0)
+            .into_iter()
+            .map(|u| {
+                let streams = u.streams.iter().map(|s| match s.dir {
+                    Dir::Load => StreamDesc::read(s.base),
+                    Dir::Store => StreamDesc::write(s.base),
+                });
+                StreamUnit::new(
+                    streams.collect(),
+                    ((u.elems * 8) as u64).div_ceil(64) * ntimes,
+                )
             })
             .collect()
     }

@@ -4,7 +4,7 @@
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use t2opt_kernels::jacobi::{self, JacobiConfig, JacobiLayout};
+use t2opt_kernels::jacobi::{self, JacobiConfig};
 use t2opt_kernels::lbm::{self, LbmConfig, LbmLayout};
 use t2opt_kernels::stream::{self, StreamConfig, StreamKernel};
 use t2opt_kernels::triad::{self, TriadConfig, TriadLayout};
@@ -239,16 +239,6 @@ pub fn fig6_series(
             l2_hit_rate: res.l2_hit_rate,
         }
     })
-}
-
-/// Which Jacobi layout a Fig. 6 variant uses (exposed for the ablation
-/// binary).
-pub fn fig6_layout(plain: bool) -> JacobiLayout {
-    if plain {
-        JacobiLayout::Plain
-    } else {
-        JacobiLayout::Optimized
-    }
 }
 
 // ---------------------------------------------------------------------

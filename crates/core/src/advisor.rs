@@ -49,10 +49,10 @@
 
 use crate::chip::SocketTopology;
 use crate::mapping::{MapPolicy, PagePlacement};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Direction of an access stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum StreamKind {
     /// Pure load stream: one blocking unit per line.
     Read,
@@ -87,7 +87,7 @@ impl StreamKind {
 
 /// One unit-stride access stream of a loop kernel: a base byte address (or
 /// base offset within an allocation) plus its direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct StreamDesc {
     /// Byte address of the stream's first element.
     pub base: u64,
@@ -122,7 +122,7 @@ impl StreamDesc {
 }
 
 /// Result of a layout prediction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Prediction {
     /// Controller-utilization efficiency in (0, 1]. 1.0 = all controllers
     /// saturated; `→ 1/n_mc` = full convoy on a single controller.
@@ -139,7 +139,7 @@ pub struct Prediction {
 }
 
 /// Which constraint bounds the runtime in a [`Prediction`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Bound {
     /// Convoy: blocking units concentrate on few controllers per phase.
     Convoy,

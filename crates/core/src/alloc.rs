@@ -88,14 +88,6 @@ impl AlignedBuf {
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 
-    /// Mutable view of the whole buffer.
-    #[inline]
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        // SAFETY: ptr is valid for len bytes and &mut self guarantees
-        // exclusivity.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
-    }
-
     /// Interprets the byte range `[byte_off, byte_off + n * size_of::<T>())`
     /// as a typed slice.
     ///

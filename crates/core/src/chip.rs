@@ -16,7 +16,7 @@
 
 use crate::advisor::LayoutAdvisor;
 use crate::mapping::{AddressMap, MapPolicy};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Names of all registered presets, in registry order. The first entry is
 /// the default chip.
@@ -37,7 +37,7 @@ pub const PRESET_NAMES: [&str; 6] = [
 /// cores split the same way. The single-socket instance (`n_sockets == 1`)
 /// is the identity — every access is local, the link is never charged —
 /// which is how all pre-NUMA presets keep their bitwise behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SocketTopology {
     /// Number of sockets; controllers and cores divide evenly across them.
     pub n_sockets: usize,
@@ -89,7 +89,7 @@ impl Default for SocketTopology {
 /// that `ChipSpec` captures only what *varies* across topologies: the
 /// address → controller map, the thread capacity, and the per-controller
 /// service times.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ChipSpec {
     /// Preset name, recorded in result JSON for reproducibility.
     pub name: String,

@@ -24,10 +24,10 @@
 //! address traces for the T2 simulator.
 
 use crate::alloc::align_up;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How the element count is split into segments.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum SegmentPlan {
     /// A single segment holding everything.
     Single,
@@ -70,7 +70,7 @@ impl SegmentPlan {
 
 /// The four layout parameters of Fig. 3. All byte-valued; `base_align` must
 /// be a power of two, `seg_align` a power of two or 0/1 for "packed".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LayoutSpec {
     /// Allocation base alignment in bytes (power of two). Default 64
     /// (one cache line).
@@ -205,7 +205,7 @@ impl Default for LayoutSpec {
 /// All positions are relative to the (aligned) allocation base, so the same
 /// `SegLayout` can describe a host allocation or a synthetic address space
 /// fed to the simulator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SegLayout {
     /// The spec this layout was derived from.
     pub spec: LayoutSpec,

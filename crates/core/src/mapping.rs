@@ -11,7 +11,7 @@
 //! [`MapPolicy`] adds alternative mappings used by the ablation studies
 //! (XOR-folded hashing, page-granular interleave).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A bit-sliced interleave map from byte addresses to memory controllers and
 /// cache banks.
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// The default [`AddressMap::ultrasparc_t2`] instance reproduces the T2:
 /// 64-byte lines, controller = bits 8:7, bank-within-controller = bit 6
 /// (so the *global* bank index is bits 8:6 — eight banks, two per controller).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct AddressMap {
     /// log2 of the cache line size in bytes (6 on the T2 → 64 B lines).
     pub line_bits: u32,
@@ -119,7 +119,7 @@ impl Default for AddressMap {
 /// Controller-selection policy. [`MapPolicy::Sliced`] is the real T2;
 /// the other variants exist for ablation experiments ("what would a less
 /// aliasing-prone controller hash have done?").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MapPolicy {
     /// Plain bit-sliced interleave, exactly as on the T2.
     Sliced(AddressMap),
@@ -220,7 +220,7 @@ impl Default for MapPolicy {
 /// OS page-placement policy on a multi-socket machine: which socket a
 /// page's backing memory lives on. On a single socket every policy is the
 /// identity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
 pub enum PagePlacement {
     /// The page lives on the socket of the thread that touched it first —
     /// the default policy of every mainstream OS, and the locality-optimal

@@ -19,7 +19,7 @@
 //! shows the period-64/32 aliasing vs N (Fig. 6).
 
 use crate::common::{place_threads, VirtualAlloc};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use t2opt_core::layout::{LayoutSpec, SegLayout, SegmentPlan};
 use t2opt_core::seg_array::SegArray;
 use t2opt_parallel::{chunk_assignment, Placement, Schedule, ThreadPool};
@@ -27,7 +27,7 @@ use t2opt_sim::trace::{chain_with_barriers, Program, StreamLoop, StreamSpec};
 use t2opt_sim::{ChipConfig, SimStats, Simulation};
 
 /// Grid layout variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum JacobiLayout {
     /// Contiguous row-major grid, `malloc`-style base.
     Plain,
@@ -37,7 +37,7 @@ pub enum JacobiLayout {
 }
 
 /// Configuration of a Jacobi experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct JacobiConfig {
     /// Grid side N (domain is N×N, boundary fixed).
     pub n: usize,
@@ -152,7 +152,7 @@ pub fn build_trace(cfg: &JacobiConfig, chip: &ChipConfig) -> Vec<Program> {
 }
 
 /// Result of a simulated Jacobi run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct JacobiResult {
     /// Million lattice-site updates per second — the Fig. 6 y-axis.
     pub mlups: f64,
@@ -353,15 +353,22 @@ mod tests {
         let mut s1 = JacobiHost::new(n, boundary);
         let mut s2 = JacobiHost::new(n, boundary);
         let mut s3 = JacobiHost::new(n, boundary);
+        let mut serial = JacobiHost::new(n, boundary);
         s1.run(50, &pool, Schedule::Static);
         s2.run(50, &pool, Schedule::StaticChunk(1));
         s3.run(50, &pool, Schedule::Dynamic(2));
+        serial.run_serial(50);
         assert_eq!(
             s1.to_vec(),
             s2.to_vec(),
             "schedules must not change the math"
         );
         assert_eq!(s1.to_vec(), s3.to_vec());
+        assert_eq!(
+            s1.to_vec(),
+            serial.to_vec(),
+            "the parallel sweeps must match the serial reference bit for bit"
+        );
     }
 
     #[test]

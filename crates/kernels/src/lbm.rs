@@ -23,7 +23,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::common::{place_threads, VirtualAlloc};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use t2opt_parallel::{chunk_assignment, Coalesce2, Placement, Schedule, ThreadPool};
 use t2opt_sim::trace::{chain_with_barriers, Program, StreamLoop, StreamSpec};
 use t2opt_sim::{ChipConfig, SimStats, Simulation};
@@ -91,7 +91,7 @@ pub fn opposite(i: usize) -> usize {
 pub const FLOPS_PER_SITE: f64 = 180.0;
 
 /// Distribution-array layout (the Fig. 7 comparison).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum LbmLayout {
     /// Structure of arrays: `f(x, y, z, v)` — v-stride `(N+2)³`.
     IJKv,
@@ -471,7 +471,7 @@ fn collide_stream_cell(
 // ---------------------------------------------------------------------
 
 /// Configuration of a simulated LBM performance run (Fig. 7).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LbmConfig {
     /// Cubic domain side N (without halo).
     pub n: usize,
@@ -527,8 +527,11 @@ impl LbmConfig {
     }
 }
 
-/// Builds the per-thread simulator programs: warm-up step, barrier 0, then
-/// `timesteps` measured steps with barriers (the toggle swap).
+/// Builds the per-thread simulator programs: `timesteps.max(1)` steps,
+/// the toggle grids swapping roles at the barrier between steps. There is
+/// no warm-up step: at the default `timesteps = 1` the programs have no
+/// barrier, so [`run_sim`]'s `measure_after_barrier(0)` never opens a
+/// window and the whole cold step is measured.
 pub fn build_trace(cfg: &LbmConfig, chip: &ChipConfig) -> Vec<Program> {
     let n = cfg.n;
     let d = n + 2;
@@ -614,7 +617,7 @@ pub fn build_trace(cfg: &LbmConfig, chip: &ChipConfig) -> Vec<Program> {
 }
 
 /// Result of a simulated LBM run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LbmResult {
     /// Million lattice-site updates per second — the Fig. 7 y-axis.
     pub mlups: f64,

@@ -21,14 +21,14 @@
 //! the reported figure.
 
 use crate::common::{place_threads, VirtualAlloc};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use t2opt_parallel::{chunk_assignment, Placement, Schedule, ThreadPool};
 use t2opt_sim::telemetry::timeline::{StreamLabel, Timeline, TraceConfig};
 use t2opt_sim::trace::{chain_with_barriers, Program, StreamLoop, StreamSpec};
 use t2opt_sim::{ChipConfig, SimStats, Simulation};
 
 /// Which STREAM kernel to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum StreamKernel {
     /// `C(:) = A(:)`
     Copy,
@@ -94,7 +94,7 @@ impl StreamKernel {
 }
 
 /// Configuration of a STREAM experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct StreamConfig {
     /// Array length N in double-precision words (paper: 2²⁵ for Fig. 2).
     pub n: usize,
@@ -170,7 +170,7 @@ pub fn build_trace(cfg: &StreamConfig, kernel: StreamKernel, chip: &ChipConfig) 
 }
 
 /// Result of a simulated STREAM run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct StreamResult {
     /// Reported bandwidth (STREAM convention, RFO not counted), GB/s.
     pub reported_gbs: f64,

@@ -18,7 +18,7 @@
 //! with [`run_host_segmented`] vs [`run_host_plain`].
 
 use crate::common::{place_threads, VirtualAlloc};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use t2opt_core::iter::seg_zip4;
 use t2opt_core::layout::LayoutSpec;
 use t2opt_core::seg_array::SegArray;
@@ -27,7 +27,7 @@ use t2opt_sim::trace::{chain_with_barriers, Program, StreamLoop, StreamSpec};
 use t2opt_sim::{ChipConfig, SimStats, Simulation};
 
 /// How the four arrays are laid out (the Fig. 4 variants).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TriadLayout {
     /// Contiguous `malloc` allocations, uncontrolled bases.
     Plain,
@@ -82,7 +82,7 @@ impl TriadLayout {
 }
 
 /// Configuration of a vector-triad experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TriadConfig {
     /// Array length in DP words.
     pub n: usize,
@@ -95,7 +95,7 @@ pub struct TriadConfig {
 }
 
 /// Result of a simulated triad run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TriadResult {
     /// Bandwidth counting 32 B per element (4 words), GB/s — the Fig. 4
     /// y-axis.

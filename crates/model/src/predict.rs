@@ -9,13 +9,13 @@
 
 use crate::shape::KernelShape;
 use crate::timing::ModelTiming;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use t2opt_core::advisor::LayoutAdvisor;
 use t2opt_core::chip::{ChipSpec, SocketTopology};
 use t2opt_core::mapping::{MapPolicy, PagePlacement};
 
 /// Which of the two model terms set the predicted runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ModelBound {
     /// Controller occupancy (bandwidth), scaled by the layout's
     /// controller-utilization efficiency.
@@ -26,7 +26,7 @@ pub enum ModelBound {
 }
 
 /// The model's answer for one (chip, workload, layout) triple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ModelPrediction {
     /// Predicted bandwidth in GB/s of the shape's reported bytes (0 for a
     /// degenerate shape that moves no data).
@@ -62,7 +62,7 @@ impl ModelPrediction {
 
 /// The closed-form performance model for one chip. See the crate docs for
 /// the equations and DESIGN.md §10 for calibration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PerfModel {
     policy: MapPolicy,
     timing: ModelTiming,

@@ -8,12 +8,12 @@
 //! (exactly how `t2opt_autotune::Workload::model_shape` builds shapes from
 //! a `LayoutSpec`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use t2opt_core::advisor::StreamDesc;
 
 /// One lockstep unit: a set of concurrent streams advancing together, and
 /// how many cache lines each stream moves over the unit's lifetime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StreamUnit {
     /// The unit's concurrent access streams (absolute base addresses).
     pub streams: Vec<StreamDesc>,
@@ -31,7 +31,7 @@ impl StreamUnit {
 /// A complete workload shape: its units, the hardware-thread concurrency
 /// executing them, and the byte credit used to convert predicted time into
 /// reported bandwidth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KernelShape {
     /// All lockstep units of one run (threads / rows / sampled sites).
     pub units: Vec<StreamUnit>,

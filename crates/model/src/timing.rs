@@ -8,7 +8,7 @@
 //! hold a full simulator config (the autotuner, the bench CLIs) can
 //! instead fill a [`ModelTiming`] field by field from it.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use t2opt_core::chip::ChipSpec;
 
 /// Calibrated T2 template: southbound cycles a read's command occupies.
@@ -27,7 +27,7 @@ const T2_OUTSTANDING_MISSES: usize = 1;
 /// cycles and seconds. All fields are public so callers holding a richer
 /// configuration (e.g. a simulator `ChipConfig`) can override the template
 /// defaults field by field.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ModelTiming {
     /// Clock frequency in Hz.
     pub clock_hz: f64,

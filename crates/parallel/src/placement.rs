@@ -12,7 +12,7 @@
 //! actually matters for reproducing the paper.
 
 /// A policy mapping team-thread indices to core indices.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub enum Placement {
     /// No pinning: leave threads wherever the OS puts them.
     #[default]
@@ -57,11 +57,6 @@ impl Placement {
                 }
             }
         }
-    }
-
-    /// Full core map for a team of `t` threads (entries `None` = unpinned).
-    pub fn core_map(&self, t: usize) -> Vec<Option<usize>> {
-        (0..t).map(|tid| self.core_of(tid)).collect()
     }
 
     /// How many team threads land on each of `n_cores` cores (unpinned

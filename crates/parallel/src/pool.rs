@@ -107,11 +107,6 @@ impl ThreadPool {
         Self::build(n, Placement::None, true)
     }
 
-    /// Like [`ThreadPool::with_placement`] with instrumentation enabled.
-    pub fn instrumented_with_placement(n: usize, placement: Placement) -> Self {
-        Self::build(n, placement, true)
-    }
-
     fn build(n: usize, placement: Placement, instrument: bool) -> Self {
         let n = n.max(1);
         let metrics = instrument.then(|| PoolMetrics {
@@ -252,19 +247,6 @@ impl ThreadPool {
                 }
             });
         }
-    }
-
-    /// Like [`ThreadPool::parallel_for`] but hands each worker its full
-    /// pre-computed chunk list once (deterministic schedules only) — useful
-    /// when per-chunk dispatch overhead matters.
-    pub fn parallel_for_chunks(
-        &self,
-        n: usize,
-        schedule: Schedule,
-        f: impl Fn(usize, &[Chunk]) + Sync,
-    ) {
-        let assignment = chunk_assignment(schedule, n, self.n);
-        self.run(|tid| f(tid, &assignment[tid]));
     }
 }
 

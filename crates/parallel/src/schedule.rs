@@ -14,12 +14,12 @@
 //! by the host pool and to generate simulator traces); the dynamic/guided
 //! schedules are claimed at runtime through [`ChunkCursor`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// An OpenMP-style loop schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Schedule {
     /// `schedule(static)`: iterations divided into one contiguous,
     /// near-equal chunk per thread (sizes ⌊N/t⌋+1 for the first `N mod t`

@@ -12,12 +12,12 @@
 //! number. See DESIGN.md §6 for the calibration reasoning.
 
 use crate::policy::PolicyKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use t2opt_core::chip::{ChipSpec, SocketTopology};
 use t2opt_core::mapping::{MapPolicy, PagePlacement};
 
 /// L2 cache geometry and timing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct L2Config {
     /// Total capacity in bytes (T2: 4 MB).
     pub bytes: usize,
@@ -45,7 +45,7 @@ impl L2Config {
 }
 
 /// Memory-controller timing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MemConfig {
     /// Cycles a controller is occupied serving one 64 B read.
     pub read_service: u64,
@@ -82,7 +82,7 @@ pub struct MemConfig {
 }
 
 /// Core/thread model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CoreConfig {
     /// Number of cores (T2: 8).
     pub n_cores: usize,
@@ -119,7 +119,7 @@ pub struct CoreConfig {
 }
 
 /// Full chip configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ChipConfig {
     /// Clock frequency in Hz (T5120: 1.2 GHz).
     pub clock_hz: f64,

@@ -308,47 +308,6 @@ impl Simulation {
         &self.cfg
     }
 
-    /// Batch entry point: wraps per-thread programs into [`ThreadSpec`]s —
-    /// thread `tid` runs on core `core_of(tid)` — and runs them. This is
-    /// the reusable path for callers that generate whole program batches
-    /// (kernel harnesses, the autotuner's trial runner) and only care about
-    /// a placement rule, not individual [`ThreadSpec`] construction.
-    ///
-    /// # Panics
-    /// As [`Simulation::run`].
-    pub fn run_programs<F>(&self, programs: Vec<Program>, core_of: F) -> SimStats
-    where
-        F: Fn(usize) -> usize,
-    {
-        self.run(Self::specs_from(programs, core_of))
-    }
-
-    /// As [`Simulation::run_programs`], but with time-resolved telemetry:
-    /// returns the [`Timeline`] collected under `trace` alongside the
-    /// statistics.
-    pub fn run_programs_traced<F>(
-        &self,
-        programs: Vec<Program>,
-        core_of: F,
-        trace: &TraceConfig,
-    ) -> (SimStats, Timeline)
-    where
-        F: Fn(usize) -> usize,
-    {
-        self.run_traced(Self::specs_from(programs, core_of), trace)
-    }
-
-    fn specs_from<F>(programs: Vec<Program>, core_of: F) -> Vec<ThreadSpec>
-    where
-        F: Fn(usize) -> usize,
-    {
-        programs
-            .into_iter()
-            .enumerate()
-            .map(|(tid, program)| ThreadSpec::new(core_of(tid), program))
-            .collect()
-    }
-
     /// Runs the given threads to completion and returns the statistics.
     ///
     /// This is the uninstrumented path: it monomorphizes over the no-op
@@ -1065,18 +1024,14 @@ mod tests {
         let mut moved = exact_cfg();
         moved.placement = PagePlacement::Remote;
         let run = |cfg: ChipConfig| {
-            let programs: Vec<Program> = (0..16)
+            let threads = (0..16)
                 .map(|t| {
-                    Box::new(StreamLoop::new(
-                        vec![StreamSpec::load(t as u64 * 65536)],
-                        256,
-                        8,
-                        0.0,
-                        64,
-                    )) as Program
+                    let body =
+                        StreamLoop::new(vec![StreamSpec::load(t as u64 * 65536)], 256, 8, 0.0, 64);
+                    ThreadSpec::new(t % 8, Box::new(body))
                 })
                 .collect();
-            Simulation::new(cfg).run_programs(programs, |tid| tid % 8)
+            Simulation::new(cfg).run(threads)
         };
         assert_eq!(run(base), run(moved));
     }
@@ -1413,29 +1368,6 @@ mod tests {
             one_bank as f64 > 1.8 * all_banks as f64,
             "single-bank misses must be MSHR-throttled: {one_bank} vs {all_banks}"
         );
-    }
-
-    #[test]
-    fn run_programs_matches_explicit_thread_specs() {
-        let sim = Simulation::new(exact_cfg());
-        let mk = || -> Vec<Program> {
-            (0..16u64)
-                .map(|t| {
-                    let ops_v: Vec<Op> = (0..64u64)
-                        .map(|i| Op::Read(t * (1 << 20) + i * 64))
-                        .collect();
-                    Box::new(ops_v.into_iter()) as Program
-                })
-                .collect()
-        };
-        let via_batch = sim.run_programs(mk(), |tid| tid % 8);
-        let via_specs = sim.run(
-            mk().into_iter()
-                .enumerate()
-                .map(|(tid, p)| ThreadSpec::new(tid % 8, p))
-                .collect(),
-        );
-        assert_eq!(via_batch, via_specs);
     }
 
     #[test]

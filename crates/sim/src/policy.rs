@@ -28,7 +28,7 @@
 //! builds one policy per run and shares it across every controller, and
 //! simulations stay bit-reproducible under every policy.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Default starvation cap for reordering policies: a request may be
 /// bypassed by younger requests at most this many times before the policy
@@ -159,7 +159,7 @@ impl QueuePolicy for ReadOverWritePolicy {
 /// Configuration-level policy selector: which [`QueuePolicy`] the memory
 /// controllers run. Part of [`crate::config::ChipConfig`]; the default is
 /// [`PolicyKind::Fifo`], which preserves the pre-policy engine bitwise.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub enum PolicyKind {
     /// Strict arrival order (the calibrated default).
     #[default]

@@ -1,7 +1,7 @@
 //! Simulation statistics and derived performance metrics.
 
 use crate::config::ChipConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Counters collected during a simulation run.
 ///
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// traffic, including read-for-ownership and write-backs — the distinction
 /// the paper draws between "reported" STREAM bandwidth and the 4/3 larger
 /// actual transfer volume.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SimStats {
     /// Cycle at which measurement started (after warm-up barriers).
     pub start_cycle: u64,

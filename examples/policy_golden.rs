@@ -12,11 +12,15 @@
 //!   outstanding misses, no gang window);
 //! * `probe-digests`: `tests/golden/probe_digests.json`, the probe-stream
 //!   digest of every case of both matrices, captured from the engine
-//!   before its FIFO and arbitrated controllers shared one service step.
+//!   before its FIFO and arbitrated controllers shared one service step;
 //! * `model`: `tests/golden/model_predictions.json`, one digest per case
 //!   of every model and advisor prediction field over the serve path's
 //!   layouts and the `model_validate` grids, captured from the advisor and
-//!   model before they shared one phase walk.
+//!   model before they shared one phase walk;
+//! * `programs`: `tests/golden/workload_programs.json`, one digest per
+//!   case of every op of every thread's `Workload::build_programs` output
+//!   over the serve workloads and warm multi-sweep variants, captured
+//!   before `Workload` built its programs from the units the model reads.
 //!
 //! Re-run this only when a matrix itself is intentionally extended, by
 //! cases appended at its end and captured from the engine before the
@@ -26,13 +30,13 @@
 //! a run of this generator must then reproduce them byte for byte.
 //!
 //! ```text
-//! cargo run --release --example policy_golden [-- fifo|engine-paths|probe-digests|model]
+//! cargo run --release --example policy_golden [-- fifo|engine-paths|probe-digests|model|programs]
 //! ```
 
 use t2opt::golden::{
-    run_engine_paths_matrix, run_matrix, run_model_digests, run_probe_digests, DigestCase,
-    DigestFile, GoldenCase, GoldenFile, ENGINE_PATHS_GOLDEN_PATH, GOLDEN_PATH, MODEL_GOLDEN_PATH,
-    PROBE_DIGESTS_GOLDEN_PATH,
+    run_engine_paths_matrix, run_matrix, run_model_digests, run_probe_digests, run_program_digests,
+    DigestCase, DigestFile, GoldenCase, GoldenFile, ENGINE_PATHS_GOLDEN_PATH, GOLDEN_PATH,
+    MODEL_GOLDEN_PATH, PROBE_DIGESTS_GOLDEN_PATH, PROGRAMS_GOLDEN_PATH,
 };
 
 /// Writes a digest capture to `path`.
@@ -59,9 +63,10 @@ fn main() {
         "engine-paths" => (run_engine_paths_matrix(), ENGINE_PATHS_GOLDEN_PATH),
         "probe-digests" => return write_digests(run_probe_digests(), PROBE_DIGESTS_GOLDEN_PATH),
         "model" => return write_digests(run_model_digests(), MODEL_GOLDEN_PATH),
-        other => {
-            panic!("unknown matrix {other:?} (expected fifo, engine-paths, probe-digests or model)")
-        }
+        "programs" => return write_digests(run_program_digests(), PROGRAMS_GOLDEN_PATH),
+        other => panic!(
+            "unknown matrix {other:?} (expected fifo, engine-paths, probe-digests, model or programs)"
+        ),
     };
     let cases: Vec<GoldenCase> = matrix
         .into_iter()

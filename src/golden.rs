@@ -51,6 +51,14 @@
 //! the model as they were while each still walked the mapping period
 //! with its own copy of the loop.
 //!
+//! [`run_program_digests`] pins the tuner's simulator input: one 64-bit
+//! digest per case of every op of every thread's
+//! [`Workload::build_programs`] output, over the serve workloads and
+//! warm, multi-sweep variants that reach the toggled grids, against
+//! `tests/golden/workload_programs.json`: a capture of the programs as
+//! they were while `Workload` still built them apart from the units the
+//! model reads.
+//!
 //! [`ModelPrediction`]: t2opt_model::ModelPrediction
 //! [`Prediction`]: t2opt_core::advisor::Prediction
 
@@ -63,6 +71,7 @@ use t2opt_core::json::JsonValue;
 use t2opt_core::layout::LayoutSpec;
 use t2opt_core::mapping::PagePlacement;
 use t2opt_kernels::common::place_threads;
+use t2opt_kernels::lbm::LbmLayout;
 use t2opt_kernels::stream::{self, StreamConfig, StreamKernel};
 use t2opt_kernels::triad::{self, TriadConfig, TriadLayout};
 use t2opt_model::PerfModel;
@@ -89,6 +98,10 @@ pub const PROBE_DIGESTS_GOLDEN_PATH: &str = "tests/golden/probe_digests.json";
 /// Where the committed model-prediction digests live, relative to the
 /// workspace root.
 pub const MODEL_GOLDEN_PATH: &str = "tests/golden/model_predictions.json";
+
+/// Where the committed workload-program digests live, relative to the
+/// workspace root.
+pub const PROGRAMS_GOLDEN_PATH: &str = "tests/golden/workload_programs.json";
 
 /// Serialized envelope of one matrix capture.
 #[derive(serde::Serialize)]
@@ -584,6 +597,105 @@ pub fn run_model_digests() -> Vec<(String, u64)> {
                 format!("{}/validate/{}", spec.name, layout_label(&layout)),
                 digest,
             ));
+        }
+    }
+    out
+}
+
+/// The digest of every op `workload` hands the simulator under `layout`:
+/// each thread's index, then every op of its program as a tag and its
+/// operand.
+fn program_digest(workload: &Workload, layout: &LayoutSpec) -> u64 {
+    let mut d = Digest::default();
+    for (t, program) in workload.build_programs(layout).into_iter().enumerate() {
+        d.fold(&[t as u64]);
+        for op in program {
+            d.fold(&match op {
+                Op::Read(addr) => [1, addr],
+                Op::Write(addr) => [2, addr],
+                Op::Compute(flops) => [3, u64::from(flops)],
+                Op::Delay(cycles) => [4, u64::from(cycles)],
+                Op::Barrier(id) => [5, u64::from(id)],
+            });
+        }
+    }
+    d.digest()
+}
+
+/// Runs the programs matrix and returns `(name, digest)` per case, in
+/// order: every workload below under the packed layout, the T2 advisor's
+/// layout, and a shifted, padded layout.
+///
+/// * every serve workload label at 8, 16 and 64 threads, built as the
+///   serve path builds it ([`resolve_workload`]);
+/// * at 5 and 7 threads, the warm constructors ([`Workload::triad`],
+///   [`Workload::jacobi`], [`Workload::lbm`] in both layouts) and
+///   multi-sweep variants whose odd sweeps read the second toggle grid.
+pub fn run_program_digests() -> Vec<(String, u64)> {
+    let layouts = [
+        ("packed", LayoutSpec::new()),
+        ("advisor", LayoutAdvisor::t2().suggest_layout()),
+        (
+            "shifted",
+            LayoutSpec::new()
+                .base_align(8192)
+                .seg_align(512)
+                .shift(128)
+                .block_offset(64),
+        ),
+    ];
+    let mut workloads = Vec::new();
+    for label in WORKLOAD_NAMES {
+        for t in [8, 16, 64] {
+            let workload = resolve_workload(label, t).expect("serve labels resolve");
+            workloads.push((format!("{label}/t{t}"), workload));
+        }
+    }
+    for threads in [5, 7] {
+        for (label, workload) in [
+            ("triad-warm", Workload::triad(1000, threads)),
+            ("jacobi-warm", Workload::jacobi(20, threads)),
+            ("lbm-ijkv-warm", Workload::lbm(6, LbmLayout::IJKv, threads)),
+            ("lbm-ivjk-warm", Workload::lbm(6, LbmLayout::IvJK, threads)),
+            (
+                "mix-x2-warm",
+                Workload::StreamMix {
+                    reads: 3,
+                    writes: 2,
+                    n: 1000,
+                    threads,
+                    ntimes: 2,
+                    warmup: true,
+                },
+            ),
+            (
+                "jacobi-x3-warm",
+                Workload::Jacobi {
+                    dim: 21,
+                    threads,
+                    ntimes: 3,
+                    warmup: true,
+                },
+            ),
+            (
+                "lbm-ivjk-x2",
+                Workload::Lbm {
+                    n: 6,
+                    layout: LbmLayout::IvJK,
+                    threads,
+                    y_rows: 4,
+                    ntimes: 2,
+                    warmup: false,
+                },
+            ),
+        ] {
+            workloads.push((format!("{label}/t{threads}"), workload));
+        }
+    }
+    let mut out = Vec::new();
+    for (name, workload) in &workloads {
+        for (tag, layout) in &layouts {
+            out.push((format!("{name}/{tag}"), program_digest(workload, layout)));
         }
     }
     out

@@ -23,8 +23,14 @@
 //!   every advisor prediction field, over the layouts the serve path
 //!   scores and the `model_validate` grids. It was captured from the
 //!   advisor and the model while each still had its own phase walk.
+//! * `tests/golden/workload_programs.json` pins the tuner's simulator
+//!   input: one digest per case of every op of every thread's
+//!   `Workload::build_programs` output, over the serve workloads and warm
+//!   multi-sweep variants that reach the toggled grids, under three
+//!   layouts. It was captured while `Workload` still built its programs
+//!   apart from the units the model reads.
 //!
-//! All four files are written by `examples/policy_golden.rs`. Cases of a
+//! All five files are written by `examples/policy_golden.rs`. Cases of a
 //! deleted policy were cut from two of them as text, leaving every other
 //! byte as captured. Every `SimStats` field and every digest is compared
 //! with `==`; a mismatch is a regression in the engine or the closed form,
@@ -32,8 +38,8 @@
 
 use t2opt::golden::{
     load_digests, load_golden, run_engine_paths_matrix, run_matrix, run_model_digests,
-    run_probe_digests, ENGINE_PATHS_GOLDEN_PATH, GOLDEN_PATH, MODEL_GOLDEN_PATH,
-    PROBE_DIGESTS_GOLDEN_PATH,
+    run_probe_digests, run_program_digests, ENGINE_PATHS_GOLDEN_PATH, GOLDEN_PATH,
+    MODEL_GOLDEN_PATH, PROBE_DIGESTS_GOLDEN_PATH, PROGRAMS_GOLDEN_PATH,
 };
 use t2opt::sim::policy::PolicyKind;
 
@@ -112,4 +118,9 @@ fn probe_streams_match_the_probe_digest_golden_bitwise() {
 #[test]
 fn model_and_advisor_predictions_match_the_model_golden_bitwise() {
     assert_digests_match(MODEL_GOLDEN_PATH, run_model_digests());
+}
+
+#[test]
+fn workload_programs_match_the_programs_golden_bitwise() {
+    assert_digests_match(PROGRAMS_GOLDEN_PATH, run_program_digests());
 }
