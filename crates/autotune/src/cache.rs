@@ -25,8 +25,7 @@
 //! ranked best under the same chip live in the same mod-512 residue classes
 //! (the T2's controller interleave is pure address arithmetic), so
 //! [`ResultCache::transfer_seed`] can hand a new search the best *foreign*
-//! layout as its starting point. Version-1 files (no `meta`) still load;
-//! they simply cannot seed transfers.
+//! layout as its starting point.
 
 use crate::workload::Workload;
 use std::path::Path;
@@ -275,20 +274,6 @@ mod tests {
         let path = tmp_path("version.json");
         std::fs::write(&path, r#"{"version":99,"entries":{}}"#).unwrap();
         assert!(ResultCache::at_path(&path).is_err());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn accepts_version_1_files_without_meta() {
-        let path = tmp_path("v1.json");
-        std::fs::write(&path, r#"{"version":1,"entries":{"aa":3.5}}"#).unwrap();
-        let mut c = ResultCache::at_path(&path).unwrap();
-        assert_eq!(c.get("aa"), Some(3.5));
-        assert_eq!(
-            c.transfer_seed("jacobi", "anything", 512),
-            None,
-            "v1 entries carry no meta, so nothing can transfer"
-        );
         let _ = std::fs::remove_file(&path);
     }
 

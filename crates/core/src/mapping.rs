@@ -246,7 +246,9 @@ impl PagePlacement {
         PagePlacement::Remote,
     ];
 
-    /// Stable lower-case label (CLI/JSON spelling).
+    /// Stable lower-case label, as printed in tables, trial span names and
+    /// bench reports. Serialized specs spell a placement by its variant
+    /// name instead (`"FirstTouch"`), and that is what stores read back.
     pub fn label(&self) -> &'static str {
         match self {
             PagePlacement::FirstTouch => "first-touch",

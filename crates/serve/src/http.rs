@@ -55,19 +55,24 @@ pub enum ReadOutcome {
 
 /// Reads one request from `stream`, resuming from a [`Partial`] carried
 /// over from a previous timed-out attempt. Honors the stream's configured
-/// read timeout: a timeout surfaces as [`ReadOutcome::TimedOut`] so the
-/// caller can check its shutdown flag and resume.
+/// read timeout: a timeout, in the head or in the body, surfaces as
+/// [`ReadOutcome::TimedOut`] so the caller can check its shutdown flag and
+/// resume.
 pub fn read_request(stream: &mut TcpStream, mut pending: Partial) -> io::Result<ReadOutcome> {
     let mut buf = [0u8; 4096];
+    let mut head = None;
     loop {
-        if let Some(head_end) = find_head_end(&pending.bytes) {
-            return finish_request(stream, pending, head_end);
+        if head.is_none() {
+            head = match find_head_end(&pending.bytes) {
+                Some(end) => Some(parse_head(&pending.bytes[..end])?),
+                None if pending.bytes.len() > MAX_HEAD => {
+                    return Err(bad("request head exceeds 16 KiB"));
+                }
+                None => None,
+            };
         }
-        if pending.bytes.len() > MAX_HEAD {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "request head exceeds 16 KiB",
-            ));
+        if let Some(h) = head.take_if(|h| pending.bytes.len() >= h.len + h.content_length) {
+            return finish_request(h, pending);
         }
         match stream.read(&mut buf) {
             Ok(0) => {
@@ -99,6 +104,10 @@ pub fn read_request(stream: &mut TcpStream, mut pending: Partial) -> io::Result<
     }
 }
 
+fn bad(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+}
+
 fn find_head_end(bytes: &[u8]) -> Option<usize> {
     bytes
         .windows(4)
@@ -106,26 +115,31 @@ fn find_head_end(bytes: &[u8]) -> Option<usize> {
         .map(|p| p + 4)
 }
 
-fn finish_request(
-    stream: &mut TcpStream,
-    pending: Partial,
-    head_end: usize,
-) -> io::Result<ReadOutcome> {
-    let Partial {
-        mut bytes,
-        first_byte,
-    } = pending;
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let head = String::from_utf8(bytes[..head_end].to_vec())
-        .map_err(|_| bad("request head is not UTF-8"))?;
+/// A parsed request head: request line and the headers the service reads.
+struct Head {
+    /// Head length in bytes, blank line included.
+    len: usize,
+    method: String,
+    path: String,
+    content_length: usize,
+    keep_alive: bool,
+    accept: String,
+}
+
+fn parse_head(bytes: &[u8]) -> io::Result<Head> {
+    let head = std::str::from_utf8(bytes).map_err(|_| bad("request head is not UTF-8"))?;
     let mut lines = head.split("\r\n");
     let mut request_line = lines.next().unwrap_or("").split_whitespace();
     let method = request_line.next().ok_or_else(|| bad("missing method"))?;
     let path = request_line.next().ok_or_else(|| bad("missing path"))?;
-
-    let mut content_length = 0usize;
-    let mut keep_alive = true; // HTTP/1.1 default
-    let mut accept = String::new();
+    let mut parsed = Head {
+        len: bytes.len(),
+        method: method.to_string(),
+        path: path.to_string(),
+        content_length: 0,
+        keep_alive: true, // HTTP/1.1 default
+        accept: String::new(),
+    };
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             continue;
@@ -133,42 +147,33 @@ fn finish_request(
         let value = value.trim();
         match name.to_ascii_lowercase().as_str() {
             "content-length" => {
-                content_length = value.parse().map_err(|_| bad("bad Content-Length"))?;
+                parsed.content_length = value.parse().map_err(|_| bad("bad Content-Length"))?;
             }
-            "connection" => keep_alive = !value.eq_ignore_ascii_case("close"),
-            "accept" => accept = value.to_string(),
+            "connection" => parsed.keep_alive = !value.eq_ignore_ascii_case("close"),
+            "accept" => parsed.accept = value.to_string(),
             _ => {}
         }
     }
-    if content_length > MAX_BODY {
+    if parsed.content_length > MAX_BODY {
         return Err(bad("request body exceeds 64 KiB"));
     }
+    Ok(parsed)
+}
 
-    // Read whatever part of the body did not arrive with the head. A
-    // timeout here keeps blocking until the body lands or the stream
-    // errors: the client already committed to sending it.
-    let mut body = bytes.split_off(head_end);
-    while body.len() < content_length {
-        let mut buf = [0u8; 4096];
-        match stream.read(&mut buf) {
-            Ok(0) => return Err(bad("connection closed mid-body")),
-            Ok(n) => body.extend_from_slice(&buf[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    body.truncate(content_length);
+fn finish_request(head: Head, pending: Partial) -> io::Result<ReadOutcome> {
+    let Partial {
+        mut bytes,
+        first_byte,
+    } = pending;
+    let mut body = bytes.split_off(head.len);
+    body.truncate(head.content_length);
     let body = String::from_utf8(body).map_err(|_| bad("request body is not UTF-8"))?;
     Ok(ReadOutcome::Request(Request {
-        method: method.to_string(),
-        path: path.to_string(),
+        method: head.method,
+        path: head.path,
         body,
-        keep_alive,
-        accept,
+        keep_alive: head.keep_alive,
+        accept: head.accept,
         first_byte,
     }))
 }
@@ -334,6 +339,24 @@ mod tests {
             Some(arrived),
             "resume keeps the original arrival time"
         );
+
+        // A body split across reads times out with the head and the first
+        // body bytes in hand, then resumes.
+        client
+            .write_all(b"POST /advise HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"a\"")
+            .unwrap();
+        let ReadOutcome::TimedOut(partial) = read_request(&mut server, Partial::default()).unwrap()
+        else {
+            panic!("expected a timeout mid-body");
+        };
+        assert!(partial.bytes.ends_with(b"{\"a\""));
+        let arrived = partial.first_byte.expect("first byte stamped");
+        client.write_all(b":1}").unwrap();
+        let ReadOutcome::Request(req) = read_request(&mut server, partial).unwrap() else {
+            panic!("expected the resumed request");
+        };
+        assert_eq!(req.body, r#"{"a":1}"#);
+        assert_eq!(req.first_byte, Some(arrived));
     }
 
     #[test]

@@ -308,3 +308,50 @@ fn refiner_loop(service: &AdviceService, queue: &RefineQueue, shutdown: &AtomicB
         trials = service.run_refinement(&job, trials);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+    use t2opt_store::Store;
+
+    #[test]
+    fn a_stalled_body_cannot_hold_shutdown_past_the_drain_deadline() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            AdviceService::new(Store::in_memory(1), 2),
+            ServerConfig {
+                workers: 1,
+                refiners: 0,
+            },
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(server.local_addr().unwrap()).unwrap();
+        let shutdown = server.shutdown_handle();
+        let (done, served) = std::sync::mpsc::channel();
+        let serving = std::thread::spawn(move || {
+            let result = server.serve();
+            let _ = done.send(());
+            result
+        });
+
+        // A first request proves the one worker holds this connection.
+        stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        assert!(stream.read(&mut [0u8; 256]).unwrap() > 0);
+        // Then a head and 8 of the 64 body bytes it announces, and silence.
+        // The worker is blocked reading this connection, so the bytes reach
+        // it long before the flag flips.
+        stream
+            .write_all(b"POST /advise HTTP/1.1\r\nContent-Length: 64\r\n\r\n{\"chip\":")
+            .unwrap();
+        std::thread::sleep(READ_TICK);
+
+        shutdown.store(true, Ordering::Relaxed);
+        let bound = DRAIN_DEADLINE + 4 * READ_TICK;
+        assert!(
+            served.recv_timeout(bound).is_ok(),
+            "serve still running {bound:?} after shutdown"
+        );
+        serving.join().unwrap().unwrap();
+    }
+}

@@ -323,22 +323,16 @@ impl Simulation {
         self.run_with_probe(threads, &mut NoProbe)
     }
 
-    /// Runs the threads with time-resolved telemetry: per-MC busy/queue/
-    /// NACK windows, per-bank samples, per-thread stall breakdowns, and a
-    /// bounded event log, collected into a [`Timeline`]. The measurement
-    /// window of the timeline follows [`Simulation::measure_after_barrier`]
-    /// exactly as the statistics do.
+    /// Runs the threads with time-resolved telemetry: per-MC busy cycles
+    /// and NACKs in fixed windows, collected into a [`Timeline`]. The
+    /// measurement window of the timeline follows
+    /// [`Simulation::measure_after_barrier`] exactly as the statistics do.
     pub fn run_traced(
         &self,
         threads: Vec<ThreadSpec>,
         trace: &TraceConfig,
     ) -> (SimStats, Timeline) {
-        let mut recorder = TimelineRecorder::new(
-            self.cfg.n_controllers(),
-            self.cfg.n_banks(),
-            threads.len(),
-            trace,
-        );
+        let mut recorder = TimelineRecorder::new(self.cfg.n_controllers(), trace);
         let stats = self.run_with_probe(threads, &mut recorder);
         let timeline = recorder.finish(stats.end_cycle);
         (stats, timeline)

@@ -2,15 +2,15 @@
 //! autotuner's `ResultCache`, and the JSON-lines append-log record.
 //!
 //! The snapshot format is byte-compatible with what `ResultCache::save`
-//! has always written, so existing cache files keep loading and files
-//! written through the store keep loading in old checkouts:
+//! has written since version 2, so existing v2 cache files keep loading
+//! and files written through the store keep loading in old checkouts:
 //!
 //! ```json
 //! {"version":2,"entries":{"89ab…":12.5},"meta":{"89ab…":{"tag":"triad",…}}}
 //! ```
 //!
-//! Version-1 files (no `meta` side-table) still parse; their entries simply
-//! carry no transfer metadata. The append log is one JSON object per line —
+//! Any other version, including the meta-less version 1, is rejected as
+//! unsupported. The append log is one JSON object per line —
 //! `{"key":"…","gbs":12.5,"meta":{…}}` — replayed over the snapshot on
 //! open. A torn final line (the crash case an append-only log exists for)
 //! is discarded, never an error.
@@ -19,6 +19,7 @@ use crate::{Entry, TrialMeta};
 use std::collections::BTreeMap;
 use t2opt_core::json::{parse_json, to_json_string, JsonValue};
 use t2opt_core::layout::LayoutSpec;
+use t2opt_core::mapping::PagePlacement;
 
 /// Snapshot format version; bump when the entry semantics change in a way
 /// that invalidates old measurements.
@@ -38,14 +39,12 @@ pub fn snapshot_to_string(entries: &BTreeMap<String, Entry>) -> String {
     )
 }
 
-/// Parses a v1/v2 snapshot document into a unified entry table.
+/// Parses a v2 snapshot document into an entry table.
 pub fn parse_snapshot(text: &str) -> Result<BTreeMap<String, Entry>, String> {
     let doc = parse_json(text).map_err(|e| e.to_string())?;
     let obj = doc.as_object().ok_or("top level must be an object")?;
     match obj.get("version").and_then(JsonValue::as_f64) {
-        // Version 1 lacks the meta side-table but its entries are still
-        // valid measurements; load them (they just cannot seed transfers).
-        Some(v) if v == 1.0 || v == FORMAT_VERSION => {}
+        Some(v) if v == FORMAT_VERSION => {}
         other => return Err(format!("unsupported cache version {other:?}")),
     }
     let mut entries: BTreeMap<String, Entry> = obj
@@ -131,6 +130,20 @@ pub fn parse_meta(v: &JsonValue) -> Result<TrialMeta, String> {
             return Err(format!("spec field {name:?} = {v} is not a power of two"));
         }
     }
+    // The serializer spells a placement by its variant name. Files from
+    // before the placement axis lack the field: they were all first-touch.
+    let placement = match spec.get("placement") {
+        None => PagePlacement::FirstTouch,
+        Some(v) => {
+            let name = v
+                .as_str()
+                .ok_or("spec field \"placement\" is not a string")?;
+            PagePlacement::ALL
+                .into_iter()
+                .find(|p| to_json_string(p) == to_json_string(&name))
+                .ok_or_else(|| format!("unknown spec placement {name:?}"))?
+        }
+    };
     Ok(TrialMeta {
         tag: field_str("tag")?,
         chip: field_str("chip")?,
@@ -139,7 +152,8 @@ pub fn parse_meta(v: &JsonValue) -> Result<TrialMeta, String> {
             .base_align(ba)
             .seg_align(sa)
             .shift(field_usize("shift")?)
-            .block_offset(field_usize("block_offset")?),
+            .block_offset(field_usize("block_offset")?)
+            .placement(placement),
     })
 }
 
@@ -192,13 +206,8 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_parse_without_meta() {
-        let back = parse_snapshot(r#"{"version":1,"entries":{"aa":3.5}}"#).unwrap();
-        assert_eq!(back["aa"], entry(3.5, None));
-    }
-
-    #[test]
     fn unknown_versions_and_garbage_are_errors() {
+        assert!(parse_snapshot(r#"{"version":1,"entries":{"aa":3.5}}"#).is_err());
         assert!(parse_snapshot(r#"{"version":99,"entries":{}}"#).is_err());
         assert!(parse_snapshot("{not json").is_err());
         assert!(parse_snapshot(r#"{"version":2}"#).is_err());
@@ -213,6 +222,31 @@ mod tests {
             assert_eq!(k, "89ab");
             assert_eq!(back, e);
         }
+    }
+
+    #[test]
+    fn placements_round_trip_through_both_codecs() {
+        for placement in PagePlacement::ALL {
+            let mut m = meta("triad");
+            m.spec = m.spec.placement(placement);
+            let e = entry(4.5, Some(m));
+            let snapshot = snapshot_to_string(&BTreeMap::from([("aa".to_string(), e.clone())]));
+            assert_eq!(parse_snapshot(&snapshot).unwrap()["aa"], e, "{placement:?}");
+            let (_, back) = parse_log_line(&log_line("aa", &e)).unwrap();
+            assert_eq!(back, e, "{placement:?}");
+        }
+    }
+
+    #[test]
+    fn placement_defaults_to_first_touch_and_unknown_names_are_errors() {
+        let spec = r#""spec":{"base_align":64,"seg_align":1,"shift":0,"block_offset":0"#;
+        let line = |tail: &str| {
+            format!(r#"{{"key":"aa","gbs":1,"meta":{{"tag":"t","chip":"c",{spec}{tail}}}}}}}"#)
+        };
+        let (_, e) = parse_log_line(&line("")).unwrap();
+        assert_eq!(e.meta.unwrap().spec.placement, PagePlacement::FirstTouch);
+        assert!(parse_log_line(&line(r#","placement":"remote""#)).is_err());
+        assert!(parse_log_line(&line(r#","placement":2"#)).is_err());
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub struct TrialMeta {
 pub struct Entry {
     /// Bandwidth in GB/s.
     pub gbs: f64,
-    /// Transfer metadata; `None` for v1 entries and bare inserts.
+    /// Transfer metadata; `None` for bare inserts.
     pub meta: Option<TrialMeta>,
 }
 

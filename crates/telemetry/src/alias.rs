@@ -290,22 +290,15 @@ mod tests {
                 start_cycle: i as u64 * interval,
                 mc_busy: b.to_vec(),
                 mc_nacks: vec![0; 4],
-                mc_queue_peak: vec![0; 4],
-                bank_accesses: vec![0; 8],
-                mem_ops: b.iter().sum::<u64>() / 12,
             })
             .collect();
         Timeline {
             interval,
             n_mcs: 4,
-            n_banks: 8,
             start_cycle: 0,
             end_cycle: busy.len() as u64 * interval,
             windows,
-            thread_stalls: Vec::new(),
             streams,
-            events: Vec::new(),
-            events_dropped: 0,
         }
     }
 

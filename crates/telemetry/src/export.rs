@@ -1,5 +1,5 @@
-//! Exporters: JSON-lines, Chrome-trace (`chrome://tracing` / Perfetto),
-//! Prometheus text exposition, and a terminal ASCII heatmap.
+//! Exporters: Chrome-trace (`chrome://tracing` / Perfetto), Prometheus
+//! text exposition, and a terminal ASCII heatmap.
 //!
 //! All JSON is produced through `t2opt_core::json` (the workspace's
 //! dependency-free serializer). The Chrome-trace envelope
@@ -347,85 +347,6 @@ pub fn prometheus_text(
     out
 }
 
-#[derive(Serialize)]
-struct MetaLine {
-    record: String,
-    interval: u64,
-    n_mcs: usize,
-    n_banks: usize,
-    start_cycle: u64,
-    end_cycle: u64,
-    events_dropped: u64,
-}
-
-#[derive(Serialize)]
-struct WindowLine {
-    record: String,
-    index: usize,
-    window: crate::timeline::Window,
-}
-
-#[derive(Serialize)]
-struct StallLine {
-    record: String,
-    tid: usize,
-    stalls: crate::timeline::ThreadStalls,
-}
-
-#[derive(Serialize)]
-struct StreamLine {
-    record: String,
-    stream: crate::timeline::StreamLabel,
-}
-
-#[derive(Serialize)]
-struct EventLine {
-    record: String,
-    event: crate::timeline::SimEvent,
-}
-
-/// Serializes a [`Timeline`] as JSON-lines: one `meta` record, then one
-/// record per stream label, window, thread-stall row, and retained event.
-pub fn timeline_jsonl(timeline: &Timeline) -> String {
-    let mut lines = Vec::new();
-    lines.push(to_json_string(&MetaLine {
-        record: "meta".to_string(),
-        interval: timeline.interval,
-        n_mcs: timeline.n_mcs,
-        n_banks: timeline.n_banks,
-        start_cycle: timeline.start_cycle,
-        end_cycle: timeline.end_cycle,
-        events_dropped: timeline.events_dropped,
-    }));
-    for s in &timeline.streams {
-        lines.push(to_json_string(&StreamLine {
-            record: "stream".to_string(),
-            stream: s.clone(),
-        }));
-    }
-    for (index, w) in timeline.windows.iter().enumerate() {
-        lines.push(to_json_string(&WindowLine {
-            record: "window".to_string(),
-            index,
-            window: w.clone(),
-        }));
-    }
-    for (tid, s) in timeline.thread_stalls.iter().enumerate() {
-        lines.push(to_json_string(&StallLine {
-            record: "stalls".to_string(),
-            tid,
-            stalls: *s,
-        }));
-    }
-    for e in &timeline.events {
-        lines.push(to_json_string(&EventLine {
-            record: "event".to_string(),
-            event: e.clone(),
-        }));
-    }
-    lines.join("\n") + "\n"
-}
-
 /// Utilization shade ramp, lowest to highest.
 const RAMP: &[u8] = b" .:-=+*#%@";
 
@@ -487,13 +408,10 @@ mod tests {
     fn sample_timeline() -> Timeline {
         let cfg = TraceConfig::with_interval(100)
             .streams(vec![StreamLabel::new("A", 0), StreamLabel::new("B", 512)]);
-        let mut r = TimelineRecorder::new(4, 8, 2, &cfg);
+        let mut r = TimelineRecorder::new(4, &cfg);
         r.mc_service(0, 10, 80, 4, false);
         r.mc_service(1, 120, 60, 2, true);
-        r.bank_access(3, 15);
         r.nack(130, 1, 1, 3, true);
-        r.stall(0, crate::probe::StallKind::Nack, 130, 160);
-        r.barrier_release(0, 190);
         r.finish(200)
     }
 
@@ -512,19 +430,6 @@ mod tests {
         assert!(events
             .iter()
             .all(|e| e.as_object().and_then(|o| o.get("ph")).is_some()));
-    }
-
-    #[test]
-    fn jsonl_lines_each_parse() {
-        let t = sample_timeline();
-        let jsonl = timeline_jsonl(&t);
-        let lines: Vec<&str> = jsonl.lines().collect();
-        // meta + 2 streams + 2 windows + 2 stall rows + 2 events.
-        assert_eq!(lines.len(), 9);
-        for line in lines {
-            parse_json(line).expect("each line is valid JSON");
-        }
-        assert!(jsonl.contains("\"record\": \"meta\"") || jsonl.contains("\"record\":\"meta\""));
     }
 
     #[test]
@@ -551,7 +456,7 @@ mod tests {
     #[test]
     fn empty_timeline_heatmap_is_graceful() {
         let cfg = TraceConfig::default();
-        let t = TimelineRecorder::new(4, 8, 0, &cfg).finish(0);
+        let t = TimelineRecorder::new(4, &cfg).finish(0);
         assert!(ascii_heatmap(&t, 80).contains("empty"));
     }
 

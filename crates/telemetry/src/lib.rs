@@ -18,17 +18,15 @@
 //!   unless tracing is requested, so the uninstrumented path monomorphizes
 //!   to exactly the pre-instrumentation code: disabled telemetry is
 //!   *zero*-cost and bitwise deterministic.
-//! * [`timeline`] — time-resolved collection: per-MC busy/queue/NACK
-//!   samples bucketed into fixed windows of `interval` cycles, per-bank
-//!   access counts, per-thread stall breakdowns, and a bounded event log,
-//!   assembled into a serializable [`timeline::Timeline`].
+//! * [`timeline`] — time-resolved collection: per-MC busy cycles and
+//!   NACKs bucketed into fixed windows of `interval` cycles, assembled into
+//!   a [`timeline::Timeline`].
 //! * [`alias`] — the [`alias::AliasReport`] analysis pass: per-window MC
 //!   imbalance (max/mean), effective-parallelism flagging (the runtime
 //!   signature of mod-512 congruence aliasing), and naming of the offending
 //!   address streams.
-//! * [`export`] — JSON-lines, Chrome-trace (`chrome://tracing` /
-//!   Perfetto), Prometheus text-exposition, and terminal ASCII-heatmap
-//!   exporters.
+//! * [`export`] — Chrome-trace (`chrome://tracing` / Perfetto),
+//!   Prometheus text-exposition, and terminal ASCII-heatmap exporters.
 //! * [`trace`] — the one span system: cheap xorshift trace/span ids, a
 //!   [`trace::TraceCtx`] carried across the accept → parse →
 //!   tier-decision → refinement → tuner-trial → store chain (explicitly,
@@ -50,9 +48,7 @@ pub mod trace;
 /// The most commonly used telemetry types.
 pub mod prelude {
     pub use crate::alias::{AliasConfig, AliasReport};
-    pub use crate::export::{
-        ascii_heatmap, chrome_trace, prometheus_text, timeline_jsonl, traces_chrome_trace,
-    };
+    pub use crate::export::{ascii_heatmap, chrome_trace, prometheus_text, traces_chrome_trace};
     pub use crate::logger::{log_line, Level, Logger};
     pub use crate::metrics::{Counter, Histogram, RingLog, Sink};
     pub use crate::probe::{NoProbe, SimProbe, StallKind};

@@ -1,6 +1,5 @@
-//! Time-resolved simulator telemetry: fixed-width cycle windows of per-MC
-//! and per-bank activity, per-thread stall breakdowns, and a bounded event
-//! log, assembled into a serializable [`Timeline`].
+//! Time-resolved simulator telemetry: fixed-width cycle windows of
+//! per-MC busy cycles and NACKs, assembled into a [`Timeline`].
 //!
 //! The [`TimelineRecorder`] implements [`SimProbe`]: the engine calls its
 //! hooks as requests are admitted, and the recorder buckets each
@@ -9,13 +8,11 @@
 //! discards everything collected before it, mirroring
 //! `SimStats::reset_window`.
 
-use crate::metrics::RingLog;
-use crate::probe::{SimProbe, StallKind};
-use serde::Serialize;
+use crate::probe::SimProbe;
 
 /// A named address stream, used by the alias analysis to report *which*
 /// arrays convoy (their congruence class mod 512 B is what matters).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamLabel {
     /// Human-readable stream name (e.g. `"B"` or `"src row 3"`).
     pub name: String,
@@ -43,8 +40,6 @@ pub struct TraceConfig {
     /// Labels of the address streams the run touches (optional; enables
     /// stream naming in the alias report).
     pub streams: Vec<StreamLabel>,
-    /// Capacity of the bounded event log (NACKs, barrier releases).
-    pub event_capacity: usize,
 }
 
 impl Default for TraceConfig {
@@ -52,7 +47,6 @@ impl Default for TraceConfig {
         TraceConfig {
             interval: 1024,
             streams: Vec::new(),
-            event_capacity: 4096,
         }
     }
 }
@@ -74,7 +68,7 @@ impl TraceConfig {
 }
 
 /// One fixed-width window of simulator activity.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Window {
     /// First cycle of the window.
     pub start_cycle: u64,
@@ -82,23 +76,14 @@ pub struct Window {
     pub mc_busy: Vec<u64>,
     /// NACKs per memory controller.
     pub mc_nacks: Vec<u64>,
-    /// Peak controller input-queue occupancy observed per controller.
-    pub mc_queue_peak: Vec<u64>,
-    /// L2 accesses per bank.
-    pub bank_accesses: Vec<u64>,
-    /// Total memory operations retired in the window.
-    pub mem_ops: u64,
 }
 
 impl Window {
-    fn new(start_cycle: u64, n_mcs: usize, n_banks: usize) -> Self {
+    fn new(start_cycle: u64, n_mcs: usize) -> Self {
         Window {
             start_cycle,
             mc_busy: vec![0; n_mcs],
             mc_nacks: vec![0; n_mcs],
-            mc_queue_peak: vec![0; n_mcs],
-            bank_accesses: vec![0; n_banks],
-            mem_ops: 0,
         }
     }
 
@@ -125,98 +110,21 @@ impl Window {
     }
 }
 
-/// Per-thread cycles lost to each stall cause.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct ThreadStalls {
-    /// Outstanding-load-miss budget.
-    pub load_miss: u64,
-    /// Full TSO store buffer.
-    pub store_buffer: u64,
-    /// Memory-pipe issue slot.
-    pub pipe: u64,
-    /// Shared-FPU serialization.
-    pub fpu: u64,
-    /// NACK retry backoff.
-    pub nack: u64,
-    /// Gang drift window.
-    pub drift: u64,
-    /// Barrier waits.
-    pub barrier: u64,
-}
-
-impl ThreadStalls {
-    fn add(&mut self, kind: StallKind, cycles: u64) {
-        match kind {
-            StallKind::LoadMiss => self.load_miss += cycles,
-            StallKind::StoreBuffer => self.store_buffer += cycles,
-            StallKind::Pipe => self.pipe += cycles,
-            StallKind::Fpu => self.fpu += cycles,
-            StallKind::Nack => self.nack += cycles,
-            StallKind::Drift => self.drift += cycles,
-            StallKind::Barrier => self.barrier += cycles,
-        }
-    }
-
-    /// Total stalled cycles across all causes.
-    pub fn total(&self) -> u64 {
-        self.load_miss
-            + self.store_buffer
-            + self.pipe
-            + self.fpu
-            + self.nack
-            + self.drift
-            + self.barrier
-    }
-}
-
-/// A discrete simulator event retained in the bounded log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub enum SimEvent {
-    /// A request was NACKed.
-    Nack {
-        /// Cycle of the rejection.
-        cycle: u64,
-        /// Issuing thread.
-        tid: u32,
-        /// Target controller.
-        mc: u32,
-        /// Target bank.
-        bank: u32,
-        /// Full controller queue (vs full bank miss buffer).
-        mc_full: bool,
-    },
-    /// A barrier released all threads.
-    BarrierRelease {
-        /// Release cycle.
-        cycle: u64,
-        /// Barrier id.
-        id: u32,
-    },
-}
-
 /// The assembled time-resolved record of one simulation run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Timeline {
     /// Window width in cycles.
     pub interval: u64,
     /// Memory-controller count.
     pub n_mcs: usize,
-    /// L2 bank count.
-    pub n_banks: usize,
     /// First recorded cycle (measurement-window open).
     pub start_cycle: u64,
     /// Last simulated cycle.
     pub end_cycle: u64,
     /// Consecutive windows covering `[start_cycle, end_cycle)`.
     pub windows: Vec<Window>,
-    /// Per-thread stall breakdowns.
-    pub thread_stalls: Vec<ThreadStalls>,
     /// Stream labels carried through from the [`TraceConfig`].
     pub streams: Vec<StreamLabel>,
-    /// Retained discrete events, oldest first.
-    pub events: Vec<SimEvent>,
-    /// Events dropped because the log filled up.
-    pub events_dropped: u64,
 }
 
 impl Timeline {
@@ -238,29 +146,20 @@ impl Timeline {
 pub struct TimelineRecorder {
     interval: u64,
     n_mcs: usize,
-    n_banks: usize,
     origin: u64,
     windows: Vec<Window>,
-    stalls: Vec<ThreadStalls>,
     streams: Vec<StreamLabel>,
-    events: RingLog<SimEvent>,
-    event_capacity: usize,
 }
 
 impl TimelineRecorder {
-    /// A recorder for a chip with `n_mcs` controllers and `n_banks` banks
-    /// running `n_threads` simulated threads.
-    pub fn new(n_mcs: usize, n_banks: usize, n_threads: usize, cfg: &TraceConfig) -> Self {
+    /// A recorder for a chip with `n_mcs` memory controllers.
+    pub fn new(n_mcs: usize, cfg: &TraceConfig) -> Self {
         TimelineRecorder {
             interval: cfg.interval.max(1),
             n_mcs,
-            n_banks,
             origin: 0,
             windows: Vec::new(),
-            stalls: vec![ThreadStalls::default(); n_threads],
             streams: cfg.streams.clone(),
-            events: RingLog::new(cfg.event_capacity),
-            event_capacity: cfg.event_capacity,
         }
     }
 
@@ -268,8 +167,7 @@ impl TimelineRecorder {
         let idx = (cycle.saturating_sub(self.origin) / self.interval) as usize;
         while self.windows.len() <= idx {
             let start = self.origin + self.windows.len() as u64 * self.interval;
-            self.windows
-                .push(Window::new(start, self.n_mcs, self.n_banks));
+            self.windows.push(Window::new(start, self.n_mcs));
         }
         &mut self.windows[idx]
     }
@@ -284,14 +182,10 @@ impl TimelineRecorder {
         Timeline {
             interval: self.interval,
             n_mcs: self.n_mcs,
-            n_banks: self.n_banks,
             start_cycle: self.origin,
             end_cycle: end_cycle.max(self.origin),
             windows: self.windows,
-            thread_stalls: self.stalls,
             streams: self.streams,
-            events_dropped: self.events.dropped(),
-            events: self.events.into_vec(),
         }
     }
 }
@@ -302,55 +196,19 @@ impl SimProbe for TimelineRecorder {
         mc: usize,
         at_cycle: u64,
         busy_added: u64,
-        queue_len: usize,
+        _queue_len: usize,
         _is_write: bool,
     ) {
-        let w = self.window_mut(at_cycle);
-        w.mc_busy[mc] += busy_added;
-        w.mc_queue_peak[mc] = w.mc_queue_peak[mc].max(queue_len as u64);
+        self.window_mut(at_cycle).mc_busy[mc] += busy_added;
     }
 
-    fn bank_access(&mut self, bank: usize, at_cycle: u64) {
-        let w = self.window_mut(at_cycle);
-        w.bank_accesses[bank] += 1;
-        w.mem_ops += 1;
-    }
-
-    fn nack(&mut self, at_cycle: u64, tid: u32, mc: usize, bank: usize, mc_full: bool) {
+    fn nack(&mut self, at_cycle: u64, _tid: u32, mc: usize, _bank: usize, _mc_full: bool) {
         self.window_mut(at_cycle).mc_nacks[mc] += 1;
-        self.events.push(SimEvent::Nack {
-            cycle: at_cycle,
-            tid,
-            mc: mc as u32,
-            bank: bank as u32,
-            mc_full,
-        });
-    }
-
-    fn stall(&mut self, tid: u32, kind: StallKind, from_cycle: u64, until_cycle: u64) {
-        // Stalls that began before the window opened count only their
-        // in-window part.
-        let from = from_cycle.max(self.origin);
-        let cycles = until_cycle.saturating_sub(from);
-        if cycles > 0 {
-            self.stalls[tid as usize].add(kind, cycles);
-        }
-    }
-
-    fn barrier_release(&mut self, id: u32, at_cycle: u64) {
-        self.events.push(SimEvent::BarrierRelease {
-            cycle: at_cycle,
-            id,
-        });
     }
 
     fn window_reset(&mut self, at_cycle: u64) {
         self.origin = at_cycle;
         self.windows.clear();
-        for s in &mut self.stalls {
-            *s = ThreadStalls::default();
-        }
-        self.events = RingLog::new(self.event_capacity);
     }
 }
 
@@ -359,7 +217,7 @@ mod tests {
     use super::*;
 
     fn recorder() -> TimelineRecorder {
-        TimelineRecorder::new(4, 8, 2, &TraceConfig::with_interval(100))
+        TimelineRecorder::new(4, &TraceConfig::with_interval(100))
     }
 
     #[test]
@@ -367,15 +225,13 @@ mod tests {
         let mut r = recorder();
         r.mc_service(1, 50, 12, 3, false);
         r.mc_service(1, 250, 12, 5, false);
-        r.bank_access(7, 250);
+        r.nack(260, 0, 3, 7, true);
         let t = r.finish(300);
         assert_eq!(t.windows.len(), 3);
         assert_eq!(t.windows[0].mc_busy[1], 12);
         assert_eq!(t.windows[1].mc_busy[1], 0);
         assert_eq!(t.windows[2].mc_busy[1], 12);
-        assert_eq!(t.windows[2].mc_queue_peak[1], 5);
-        assert_eq!(t.windows[2].bank_accesses[7], 1);
-        assert_eq!(t.windows[2].mem_ops, 1);
+        assert_eq!(t.windows[2].mc_nacks, vec![0, 0, 0, 1]);
         assert_eq!(t.windows[1].start_cycle, 100);
     }
 
@@ -383,49 +239,20 @@ mod tests {
     fn window_reset_discards_warmup_and_rebases() {
         let mut r = recorder();
         r.mc_service(0, 10, 99, 1, false);
-        r.stall(0, StallKind::Nack, 0, 50);
         r.nack(5, 0, 0, 0, true);
         r.window_reset(1000);
         r.mc_service(2, 1010, 7, 1, false);
-        r.stall(1, StallKind::Barrier, 900, 1100); // clamped to origin
         let t = r.finish(1100);
         assert_eq!(t.start_cycle, 1000);
         assert_eq!(t.windows.len(), 1);
         assert_eq!(t.windows[0].start_cycle, 1000);
-        assert_eq!(t.windows[0].mc_busy[2], 7);
-        assert!(t.events.is_empty());
-        assert_eq!(t.thread_stalls[0].total(), 0);
-        assert_eq!(t.thread_stalls[1].barrier, 100);
-    }
-
-    #[test]
-    fn stalls_accumulate_by_kind() {
-        let mut r = recorder();
-        r.stall(1, StallKind::LoadMiss, 0, 30);
-        r.stall(1, StallKind::LoadMiss, 40, 50);
-        r.stall(1, StallKind::Fpu, 0, 5);
-        let t = r.finish(50);
-        assert_eq!(t.thread_stalls[1].load_miss, 40);
-        assert_eq!(t.thread_stalls[1].fpu, 5);
-        assert_eq!(t.thread_stalls[1].total(), 45);
-    }
-
-    #[test]
-    fn event_log_is_bounded() {
-        let mut cfg = TraceConfig::with_interval(100);
-        cfg.event_capacity = 2;
-        let mut r = TimelineRecorder::new(4, 8, 1, &cfg);
-        for i in 0..5 {
-            r.nack(i, 0, 0, 0, false);
-        }
-        let t = r.finish(10);
-        assert_eq!(t.events.len(), 2);
-        assert_eq!(t.events_dropped, 3);
+        assert_eq!(t.windows[0].mc_busy, vec![0, 0, 7, 0]);
+        assert_eq!(t.windows[0].mc_nacks, vec![0; 4]);
     }
 
     #[test]
     fn effective_parallelism_and_imbalance() {
-        let mut w = Window::new(0, 4, 8);
+        let mut w = Window::new(0, 4);
         assert_eq!(w.effective_parallelism(), 0.0);
         assert_eq!(w.imbalance(), 1.0);
         w.mc_busy = vec![100, 100, 100, 100];
@@ -439,7 +266,7 @@ mod tests {
     #[test]
     fn finish_pads_idle_tail() {
         let mut r = recorder();
-        r.bank_access(0, 10);
+        r.mc_service(0, 10, 5, 1, false);
         let t = r.finish(1000);
         assert_eq!(t.windows.len(), 10);
         assert_eq!(t.duration(), 1000);

@@ -25,8 +25,8 @@
 //!   advisor-agreement cross-check;
 //! * [`telemetry`] — zero-cost-when-disabled counters,
 //!   histograms and request traces, time-resolved simulator timelines with
-//!   MC-imbalance (aliasing) diagnostics, and Chrome-trace / JSON-lines /
-//!   ASCII-heatmap exporters.
+//!   MC-imbalance (aliasing) diagnostics, and Chrome-trace / Prometheus-text
+//!   / ASCII-heatmap exporters.
 //!
 //! ## Quickstart
 //!
