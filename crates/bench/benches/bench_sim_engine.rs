@@ -1,11 +1,29 @@
-//! Criterion benchmarks of the simulator engine itself: event throughput
-//! (memory ops simulated per second) for hit-dominated, miss-dominated and
-//! contended workloads — the cost model of every figure sweep. The
-//! contended workload also runs under read-first arbitration, the engine's
-//! controller-event path.
+//! Simulator engine throughput: memory ops simulated per second for
+//! hit-dominated, miss-dominated and contended workloads, the cost model of
+//! every figure sweep. The contended workload also runs under read-first
+//! arbitration, the engine's controller-event path.
+//!
+//! Each row is one warm-up run, then the fastest of [`RUNS`] timed runs,
+//! printed as `sim_engine_throughput/<row>: X ms/iter  Y Melem/s`. Each
+//! process lands in a fast or a slow host mode, so one process cannot
+//! resolve an engine change of about 30 %: compare only alternating
+//! parent/change runs, and make speed claims with perfbench's alternating
+//! pairs.
+//!
+//! ```text
+//! cargo bench -p t2opt-bench --bench bench_sim_engine
+//! ```
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
+use std::time::Instant;
 use t2opt_sim::prelude::*;
+
+/// Memory ops per run, split evenly over the threads.
+const OPS: usize = 64 * 1024;
+/// Simulated threads, eight per core.
+const THREADS: usize = 64;
+/// Timed runs per row; the row reports the fastest.
+const RUNS: usize = 10;
 
 fn hit_workload(n_threads: usize, ops: usize) -> Vec<ThreadSpec> {
     // All threads loop over one shared 64 KiB region: pure L2 hits after
@@ -46,39 +64,40 @@ fn contended_workload(n_threads: usize, ops: usize) -> Vec<ThreadSpec> {
         .collect()
 }
 
-fn bench_engine(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim_engine_throughput");
-    group.sample_size(10);
-    let ops = 64 * 1024;
-    group.throughput(Throughput::Elements(ops as u64));
-    group.bench_function("l2_hits_64T", |b| {
-        b.iter(|| {
-            let sim = Simulation::t2();
-            black_box(sim.run(hit_workload(64, ops)).l2_hits)
+/// Times `run`: one warm-up call, then the fastest of [`RUNS`] calls.
+fn bench<R>(row: &str, mut run: impl FnMut() -> R) {
+    black_box(run());
+    let best = (0..RUNS)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(run());
+            t0.elapsed().as_secs_f64()
         })
-    });
-    group.bench_function("misses_spread_64T", |b| {
-        b.iter(|| {
-            let sim = Simulation::t2();
-            black_box(sim.run(miss_workload(64, ops)).l2_misses)
-        })
-    });
-    group.bench_function("misses_contended_64T", |b| {
-        b.iter(|| {
-            let sim = Simulation::t2();
-            black_box(sim.run(contended_workload(64, ops)).cycles())
-        })
-    });
-    group.bench_function("misses_contended_readfirst_64T", |b| {
-        let mut cfg = ChipConfig::ultrasparc_t2();
-        cfg.policy = PolicyKind::ReadFirst { starvation_cap: 8 };
-        b.iter(|| {
-            let sim = Simulation::new(cfg.clone());
-            black_box(sim.run(contended_workload(64, ops)).cycles())
-        })
-    });
-    group.finish();
+        .fold(f64::INFINITY, f64::min);
+    println!(
+        "sim_engine_throughput/{row}: {:.3} ms/iter  {:.1} Melem/s",
+        best * 1e3,
+        OPS as f64 / best / 1e6
+    );
 }
 
-criterion_group!(benches, bench_engine);
-criterion_main!(benches);
+fn main() {
+    bench("l2_hits_64T", || {
+        Simulation::t2().run(hit_workload(THREADS, OPS)).l2_hits
+    });
+    bench("misses_spread_64T", || {
+        Simulation::t2().run(miss_workload(THREADS, OPS)).l2_misses
+    });
+    bench("misses_contended_64T", || {
+        Simulation::t2()
+            .run(contended_workload(THREADS, OPS))
+            .cycles()
+    });
+    let mut cfg = ChipConfig::ultrasparc_t2();
+    cfg.policy = PolicyKind::ReadFirst { starvation_cap: 8 };
+    bench("misses_contended_readfirst_64T", || {
+        Simulation::new(cfg.clone())
+            .run(contended_workload(THREADS, OPS))
+            .cycles()
+    });
+}

@@ -8,14 +8,27 @@
 //! ⌊N/t⌋+1 / ⌊N/t⌋ scheduling). The paper finds the overhead "negligible
 //! even for tight loops like the vector triad", visible only at small N.
 //!
+//! After the host table it prices what the paper discourages instead
+//! (§2.2): element-wise iteration over a segmented array, which pays the
+//! `operator++()` branch at every step, in ns per element of a
+//! single-threaded sum against the hierarchical fold and a plain `Vec`.
+//!
 //! ```text
 //! cargo run --release -p t2opt-bench --bin fig5_overhead
 //! cargo run --release -p t2opt-bench --bin fig5_overhead -- --threads 8 --ntimes 9
 //! ```
 
+use std::hint::black_box;
+use std::time::Instant;
 use t2opt_bench::experiments::fig5_series;
 use t2opt_bench::{write_json, Args, Table};
+use t2opt_core::iter::HierExt;
+use t2opt_core::layout::LayoutSpec;
+use t2opt_core::seg_array::SegArray;
 use t2opt_parallel::{chunk_assignment, Placement, Schedule, ThreadPool};
+
+/// Elements summed by the iteration-style rows.
+const ITER_N: usize = 400_000;
 
 /// Simulator variant: the same vector triad with and without a modelled
 /// per-segment dispatch overhead (function call + iterator construction,
@@ -92,6 +105,35 @@ fn sim_variant(ns: &[usize]) {
     table.print();
 }
 
+/// Host ns per element of summing one 8-segment `SegArray` element-wise
+/// (`flat_iter`) and segment-wise (`hier_fold`), and of summing a `Vec`;
+/// each the best of `ntimes`+1 runs.
+fn iteration_styles(ntimes: usize) {
+    let mut arr = SegArray::<f64>::builder(ITER_N)
+        .segments(8)
+        .spec(LayoutSpec::t2_rotating())
+        .build();
+    arr.fill_with(|i| i as f64);
+    let v: Vec<f64> = (0..ITER_N).map(|i| i as f64).collect();
+    let ns_per_elem = |sum: &dyn Fn() -> f64| {
+        let best = (0..=ntimes)
+            .map(|_| {
+                let t0 = Instant::now();
+                black_box(sum());
+                t0.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min);
+        best * 1e9 / ITER_N as f64
+    };
+    let flat = ns_per_elem(&|| arr.flat_iter().sum());
+    let hier = ns_per_elem(&|| arr.hier_fold(0.0, |acc, x| acc + x));
+    let vec = ns_per_elem(&|| v.iter().sum());
+    for (style, ns) in [("flat_iter", flat), ("hier_fold", hier), ("Vec", vec)] {
+        println!("{style:>9}: {ns:.3} ns/element");
+    }
+    println!("flat / hierarchical: {:.2}x", flat / hier);
+}
+
 fn main() {
     let args = Args::from_env();
     let threads: usize = args.get(
@@ -137,6 +179,9 @@ fn main() {
             large.iter().map(|r| r.overhead_pct).sum::<f64>() / large.len() as f64;
         println!("\nmean overhead for N ≥ 10^6: {mean_overhead:+.1} % (paper: negligible)");
     }
+
+    println!("\nsum of {ITER_N} doubles, 1 thread, 8 segments, best of {ntimes}+1 runs:");
+    iteration_styles(ntimes);
 
     if args.has_flag("sim") {
         println!("\nsimulator variant (64 threads, optimal offsets, 30-cycle dispatch):");

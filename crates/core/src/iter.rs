@@ -10,9 +10,10 @@
 //!
 //! This module provides both styles:
 //!
-//! * [`FlatIter`] — the discouraged element-wise iterator (kept for
-//!   correctness tests and for measuring exactly the overhead the paper
-//!   warns about, Fig. 5);
+//! * [`FlatIter`] — the discouraged element-wise iterator, kept for
+//!   correctness tests and to measure the overhead the paper warns about:
+//!   `fig5_overhead` prints its ns per element against `hier_fold` and a
+//!   plain `Vec` sum;
 //! * [`seg_zip2`], [`seg_zip3`], [`seg_zip4`] — hierarchical zips over
 //!   structurally identical segmented arrays, the workhorses for STREAM-like
 //!   kernels (`A(:) = B(:) + s*C(:)` runs as one `seg_zip3` whose inner

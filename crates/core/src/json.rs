@@ -430,14 +430,21 @@ impl JsonValue {
     }
 }
 
-/// Parses a JSON document.
+/// Deepest array/object nesting [`parse_json`] accepts. The parser recurses
+/// once per level, so without a limit a request body of 10,000 `[` bytes
+/// overflows the stack of the thread parsing it. The deepest document the
+/// workspace writes, `model_validate --json`, nests 6 levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document. Arrays and objects nested deeper than
+/// `MAX_DEPTH` (128) levels are an error.
 pub fn parse_json(input: &str) -> Result<JsonValue, JsonErr> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(JsonErr(format!("trailing garbage at byte {}", p.pos)));
@@ -486,11 +493,16 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonErr> {
+    /// Parses one value inside `depth` open arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonErr> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(JsonErr(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ))),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') if self.literal("true") => Ok(JsonValue::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(JsonValue::Bool(false)),
@@ -504,7 +516,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonErr> {
+    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonErr> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -517,7 +529,7 @@ impl Parser<'_> {
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            let val = self.value()?;
+            let val = self.value(depth)?;
             map.insert(key, val);
             self.skip_ws();
             match self.peek() {
@@ -536,7 +548,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonErr> {
+    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonErr> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -545,7 +557,7 @@ impl Parser<'_> {
             return Ok(JsonValue::Array(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -727,6 +739,20 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("1 2").is_err());
         assert!(parse_json("nul").is_err());
+    }
+
+    #[test]
+    fn parse_refuses_nesting_past_the_limit() {
+        // A whole 64 KiB request body of `[` is refused, not a stack overflow.
+        let err = parse_json(&"[".repeat(64 * 1024)).unwrap_err().to_string();
+        assert!(err.contains("deeper than 128 levels"), "{err}");
+
+        let arrays = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        let objects = |d: usize| format!("{}1{}", r#"{"a":"#.repeat(d), "}".repeat(d));
+        assert!(parse_json(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&arrays(MAX_DEPTH + 1)).is_err());
+        assert!(parse_json(&objects(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -44,8 +44,9 @@ pub struct Partial {
 /// Outcome of one read attempt on a connection.
 #[derive(Debug)]
 pub enum ReadOutcome {
-    /// A complete request arrived.
-    Request(Request),
+    /// A complete request arrived, with the bytes read past its end: the
+    /// start of the next pipelined request, to resume from.
+    Request(Request, Partial),
     /// The peer closed the connection cleanly (EOF before any bytes).
     Closed,
     /// The read timed out before a full request arrived; the bytes read so
@@ -54,7 +55,8 @@ pub enum ReadOutcome {
 }
 
 /// Reads one request from `stream`, resuming from a [`Partial`] carried
-/// over from a previous timed-out attempt. Honors the stream's configured
+/// over from a previous timed-out attempt or from the bytes a previous
+/// request left over (pipelining). Honors the stream's configured
 /// read timeout: a timeout, in the head or in the body, surfaces as
 /// [`ReadOutcome::TimedOut`] so the caller can check its shutdown flag and
 /// resume.
@@ -165,17 +167,25 @@ fn finish_request(head: Head, pending: Partial) -> io::Result<ReadOutcome> {
         mut bytes,
         first_byte,
     } = pending;
-    let mut body = bytes.split_off(head.len);
-    body.truncate(head.content_length);
-    let body = String::from_utf8(body).map_err(|_| bad("request body is not UTF-8"))?;
-    Ok(ReadOutcome::Request(Request {
-        method: head.method,
-        path: head.path,
-        body,
-        keep_alive: head.keep_alive,
-        accept: head.accept,
-        first_byte,
-    }))
+    let rest = bytes.split_off(head.len + head.content_length);
+    let body = String::from_utf8(bytes.split_off(head.len))
+        .map_err(|_| bad("request body is not UTF-8"))?;
+    // The next request's bytes are already here; it waits from now.
+    let rest = Partial {
+        first_byte: (!rest.is_empty()).then(Instant::now),
+        bytes: rest,
+    };
+    Ok(ReadOutcome::Request(
+        Request {
+            method: head.method,
+            path: head.path,
+            body,
+            keep_alive: head.keep_alive,
+            accept: head.accept,
+            first_byte,
+        },
+        rest,
+    ))
 }
 
 /// One HTTP response ready to serialize.
@@ -272,7 +282,7 @@ mod tests {
             .write_all(b"POST /advise HTTP/1.1\r\nHost: x\r\nContent-Length: 7\r\n\r\n{\"a\":1}")
             .unwrap();
         let out = read_request(&mut server, Partial::default()).unwrap();
-        let ReadOutcome::Request(req) = out else {
+        let ReadOutcome::Request(req, _) = out else {
             panic!("expected a request, got {out:?}");
         };
         assert_eq!(
@@ -291,7 +301,7 @@ mod tests {
         client
             .write_all(b"GET /metrics HTTP/1.1\r\nAccept: text/plain\r\n\r\n")
             .unwrap();
-        let ReadOutcome::Request(req) = read_request(&mut server, Partial::default()).unwrap()
+        let ReadOutcome::Request(req, _) = read_request(&mut server, Partial::default()).unwrap()
         else {
             panic!("expected a request");
         };
@@ -304,7 +314,7 @@ mod tests {
         client
             .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
             .unwrap();
-        let ReadOutcome::Request(req) = read_request(&mut server, Partial::default()).unwrap()
+        let ReadOutcome::Request(req, _) = read_request(&mut server, Partial::default()).unwrap()
         else {
             panic!("expected a request");
         };
@@ -330,7 +340,7 @@ mod tests {
         assert_eq!(partial.bytes, b"GET /hea");
         let arrived = partial.first_byte.expect("first byte stamped");
         client.write_all(b"lthz HTTP/1.1\r\n\r\n").unwrap();
-        let ReadOutcome::Request(req) = read_request(&mut server, partial).unwrap() else {
+        let ReadOutcome::Request(req, _) = read_request(&mut server, partial).unwrap() else {
             panic!("expected the resumed request");
         };
         assert_eq!(req.path, "/healthz");
@@ -352,7 +362,7 @@ mod tests {
         assert!(partial.bytes.ends_with(b"{\"a\""));
         let arrived = partial.first_byte.expect("first byte stamped");
         client.write_all(b":1}").unwrap();
-        let ReadOutcome::Request(req) = read_request(&mut server, partial).unwrap() else {
+        let ReadOutcome::Request(req, _) = read_request(&mut server, partial).unwrap() else {
             panic!("expected the resumed request");
         };
         assert_eq!(req.body, r#"{"a":1}"#);

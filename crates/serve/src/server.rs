@@ -211,7 +211,8 @@ fn handle_connection(
     let mut drain_deadline: Option<Instant> = None;
     loop {
         match read_request(&mut stream, std::mem::take(&mut pending)) {
-            Ok(ReadOutcome::Request(req)) => {
+            Ok(ReadOutcome::Request(req, rest)) => {
+                pending = rest;
                 let parsed_at = Instant::now();
                 let arrived = req.first_byte.unwrap_or(parsed_at);
                 let ctx = traces.start_at(

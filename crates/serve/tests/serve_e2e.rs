@@ -1,7 +1,9 @@
 //! End-to-end tests over real TCP: the full cold → refine → warm serve
-//! path, metrics consistency, graceful shutdown with store flush, and
-//! bounded-queue drop accounting.
+//! path, metrics consistency, graceful shutdown with store flush,
+//! bounded-queue drop accounting, and hostile or pipelined input.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use t2opt_core::json::{parse_json, JsonValue};
@@ -324,6 +326,77 @@ fn unknown_paths_and_bad_bodies_get_http_errors() {
     );
     // The connection survives error responses (keep-alive).
     assert_eq!(client.get("/healthz").unwrap().0, 200);
+
+    shutdown.store(true, std::sync::atomic::Ordering::Relaxed);
+    serving.join().unwrap();
+}
+
+#[test]
+fn a_deeply_nested_body_is_a_400_and_the_daemon_keeps_serving() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        AdviceService::new(Store::in_memory(1), 2),
+        ServerConfig {
+            workers: 2,
+            refiners: 0,
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let shutdown = server.shutdown_handle();
+    let serving = std::thread::spawn(move || server.serve().unwrap());
+
+    // The largest body the daemon reads, all `[`: parsed recursively
+    // without a nesting limit, it overflows the worker's stack.
+    let mut client = Client::connect(addr).unwrap();
+    let (status, body) = client.post("/advise", &"[".repeat(64 * 1024)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("deeper than 128 levels"), "{body}");
+    assert_eq!(
+        Client::connect(addr).unwrap().get("/healthz").unwrap().0,
+        200
+    );
+
+    shutdown.store(true, std::sync::atomic::Ordering::Relaxed);
+    serving.join().unwrap();
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        AdviceService::new(Store::in_memory(1), 2),
+        ServerConfig {
+            workers: 1,
+            refiners: 0,
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let shutdown = server.shutdown_handle();
+    let serving = std::thread::spawn(move || server.serve().unwrap());
+
+    // Two requests in one write; the second closes the connection, so
+    // both responses end at EOF.
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(
+            b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        .unwrap();
+    let mut text = String::new();
+    stream
+        .read_to_string(&mut text)
+        .unwrap_or_else(|e| panic!("second response missing ({e}) after {text:?}"));
+    let responses: Vec<&str> = text.split("HTTP/1.1 ").skip(1).collect();
+    assert_eq!(responses.len(), 2, "{text:?}");
+    assert!(responses[0].starts_with("200 OK"), "{text:?}");
+    assert!(responses[0].contains("Connection: keep-alive"), "{text:?}");
+    assert!(responses[1].starts_with("200 OK"), "{text:?}");
+    assert!(responses[1].contains("Connection: close"), "{text:?}");
 
     shutdown.store(true, std::sync::atomic::Ordering::Relaxed);
     serving.join().unwrap();
