@@ -14,11 +14,11 @@ use crate::space::{ParamSpace, N_DIMS};
 use crate::workload::Workload;
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use t2opt_core::advisor::LayoutAdvisor;
 use t2opt_core::layout::LayoutSpec;
 use t2opt_kernels::common::place_threads;
-use t2opt_parallel::{Placement, Schedule, ThreadPool};
+use t2opt_parallel::{Placement, ThreadPool};
 use t2opt_sim::{ChipConfig, Simulation};
 use t2opt_telemetry::metrics::Sink;
 use t2opt_telemetry::trace::TraceCtx;
@@ -488,46 +488,37 @@ impl Tuner {
             }
         }
 
-        // Parallel batch over the misses. Simulator programs are built
-        // inside the workers (`Program` is not `Send`); each slot is
-        // written by exactly one trial, and the simulator is deterministic,
-        // so the batch result does not depend on worker interleaving.
+        // Parallel batch over the misses, one trial per claim. Simulator
+        // programs are built inside the workers (`Program` is not `Send`),
+        // and the simulator is deterministic, so the batch result does not
+        // depend on worker interleaving.
         if !to_run.is_empty() {
-            let slots: Vec<Mutex<Option<f64>>> = to_run.iter().map(|_| Mutex::new(None)).collect();
             let workload = &self.workload;
             let chip = &self.chip;
             let n_cores = self.chip.core.n_cores;
             let scatter = Placement::Scatter { n_cores };
-            let run_specs: Vec<&LayoutSpec> = to_run.iter().map(|&i| &specs[i]).collect();
-            pool.parallel_for(0..to_run.len(), Schedule::Dynamic(1), |tid, chunk| {
-                for j in chunk {
-                    let spec = run_specs[j];
-                    // Named only when recorded: a disabled context allocates nothing.
-                    let _span = trial_ctx
-                        .is_enabled()
-                        .then(|| trial_ctx.span(trial_span_name(spec), tid as u32));
-                    // The candidate's NUMA page placement rides on the
-                    // layout spec; the engine takes it from the config.
-                    let mut trial_chip = chip.clone();
-                    trial_chip.placement = spec.placement;
-                    let mut sim = Simulation::new(trial_chip);
-                    if workload.warmup() {
-                        sim = sim.measure_after_barrier(0);
-                    }
-                    let programs = workload.build_programs(spec);
-                    let stats = sim.run(place_threads(programs, &scatter, n_cores));
-                    let gbs = stats.reported_bandwidth_gbs(chip, workload.reported_bytes());
-                    *slots[j].lock().expect("slot lock") = Some(gbs);
+            let measured = pool.map(&to_run, |tid, &i| {
+                let spec = &specs[i];
+                // Named only when recorded: a disabled context allocates nothing.
+                let _span = trial_ctx
+                    .is_enabled()
+                    .then(|| trial_ctx.span(trial_span_name(spec), tid as u32));
+                // The candidate's NUMA page placement rides on the layout
+                // spec; the engine takes it from the config.
+                let mut trial_chip = chip.clone();
+                trial_chip.placement = spec.placement;
+                let mut sim = Simulation::new(trial_chip);
+                if workload.warmup() {
+                    sim = sim.measure_after_barrier(0);
                 }
+                let programs = workload.build_programs(spec);
+                let stats = sim.run(place_threads(programs, &scatter, n_cores));
+                stats.reported_bandwidth_gbs(chip, workload.reported_bytes())
             });
             *simulations_run += to_run.len() as u64;
             let tag = self.workload.tag();
             let fingerprint = ResultCache::chip_fingerprint(&self.chip);
-            for (j, &i) in to_run.iter().enumerate() {
-                let gbs = slots[j]
-                    .lock()
-                    .expect("slot lock")
-                    .expect("every dispatched trial completes");
+            for (&i, gbs) in to_run.iter().zip(measured) {
                 // Fresh measurements carry transfer meta so later searches
                 // of *other* kernels can seed from them.
                 self.cache.insert_with_meta(

@@ -2,9 +2,9 @@
 //! parallel loop — measured on the **host**.
 //!
 //! This figure is about abstraction cost, not about T2 memory behaviour,
-//! so the honest reproduction is a native measurement: the same vector
-//! triad kernel through (a) a plain pooled `parallel_for` over slices and
-//! (b) `SegArray` segments dispatched per worker (the paper's manual
+//! so the honest reproduction is a native measurement: the same serial
+//! triad kernel on (a) each worker's `schedule(static)` chunk of plain
+//! `Vec`s and (b) its own `SegArray` segment (the paper's manual
 //! ⌊N/t⌋+1 / ⌊N/t⌋ scheduling). The paper finds the overhead "negligible
 //! even for tight loops like the vector triad", visible only at small N.
 //!

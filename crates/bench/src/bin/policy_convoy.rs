@@ -29,10 +29,10 @@
 //! `tests/integration.rs` pins the aliased win and the layout gap.
 
 use serde::Serialize;
+use t2opt_bench::experiments::chip_scatter;
 use t2opt_bench::{write_json, Args, Table};
 use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
 use t2opt_kernels::triad::{self, TriadConfig, TriadLayout};
-use t2opt_parallel::Placement;
 use t2opt_sim::policy::PolicyKind;
 use t2opt_sim::ChipConfig;
 
@@ -144,7 +144,7 @@ fn main() {
                     threads,
                     ntimes: 1,
                 };
-                let res = triad::run_sim(&cfg, &chip, &Placement::t2_scatter());
+                let res = triad::run_sim(&cfg, &chip, &chip_scatter(&chip));
                 rows.push(ConvoyRow {
                     chip: chip_name.clone(),
                     policy: policy_label(kind),

@@ -2,13 +2,11 @@
 //! rows the figure plots. The binaries are thin wrappers around these.
 
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use t2opt_kernels::jacobi::{self, JacobiConfig};
 use t2opt_kernels::lbm::{self, LbmConfig, LbmLayout};
 use t2opt_kernels::stream::{self, StreamConfig, StreamKernel};
 use t2opt_kernels::triad::{self, TriadConfig, TriadLayout};
-use t2opt_parallel::{Placement, Schedule, ThreadPool};
+use t2opt_parallel::{Placement, ThreadPool};
 use t2opt_sim::ChipConfig;
 
 /// Runs `f` over `items` on up to `available_parallelism` host threads,
@@ -24,29 +22,7 @@ where
         .map(|n| n.get())
         .unwrap_or(4)
         .min(items.len().max(1));
-    // One slot per item, each filled by exactly the worker that claimed
-    // its index, then read after the scope joins.
-    let results: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                *results[i].lock().expect("slot lock") = Some(f(&items[i]));
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot lock")
-                .expect("every item is mapped")
-        })
-        .collect()
+    ThreadPool::new(workers).map(&items, |_tid, item| f(item))
 }
 
 // ---------------------------------------------------------------------
@@ -354,17 +330,6 @@ pub fn n_range(lo: usize, hi: usize, step: usize) -> Vec<usize> {
     v
 }
 
-/// A Jacobi schedule by name (for the schedule ablation binary).
-pub fn schedule_by_name(name: &str) -> Option<Schedule> {
-    match name {
-        "static" => Some(Schedule::Static),
-        "static1" | "static,1" => Some(Schedule::StaticChunk(1)),
-        "dynamic" => Some(Schedule::Dynamic(1)),
-        "guided" => Some(Schedule::Guided(1)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,13 +350,6 @@ mod tests {
     fn ranges() {
         assert_eq!(offset_range(8, 4), vec![0, 4, 8]);
         assert_eq!(n_range(10, 16, 3), vec![10, 13, 16]);
-    }
-
-    #[test]
-    fn schedule_names() {
-        assert_eq!(schedule_by_name("static"), Some(Schedule::Static));
-        assert_eq!(schedule_by_name("static,1"), Some(Schedule::StaticChunk(1)));
-        assert!(schedule_by_name("bogus").is_none());
     }
 
     #[test]

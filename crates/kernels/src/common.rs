@@ -76,6 +76,18 @@ pub fn place_threads(
         .collect()
 }
 
+/// The shortest of `ntimes + 1` timed calls of `sweep`, in seconds (the
+/// STREAM benchmark's best-of-N timing).
+pub(crate) fn best_secs(ntimes: usize, mut sweep: impl FnMut()) -> f64 {
+    (0..=ntimes)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            sweep();
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -230,26 +230,28 @@ impl JacobiHost {
     /// Runs `sweeps` relaxation sweeps on the pool with the given schedule.
     pub fn run(&mut self, sweeps: usize, pool: &ThreadPool, schedule: Schedule) {
         let n = self.n;
+        let assignment = chunk_assignment(schedule, n - 2, pool.num_threads());
         for _ in 0..sweeps {
             let (src, dst) = self.split();
-            {
-                let dst_rows: Vec<parking_lot::Mutex<&mut [f64]>> = dst
-                    .segments_mut()
-                    .into_iter()
-                    .map(parking_lot::Mutex::new)
-                    .collect();
-                pool.parallel_for(1..n - 1, schedule, |_tid, range| {
-                    for i in range {
-                        let mut d = dst_rows[i].lock();
-                        relax_line(
-                            &mut d,
-                            src.segment(i - 1),
-                            src.segment(i + 1),
-                            src.segment(i),
-                        );
-                    }
-                });
-            }
+            // Deal each interior row to the worker the schedule gives it
+            // before the region, so every worker owns its rows outright.
+            let mut rows: Vec<Option<&mut [f64]>> =
+                dst.segments_mut().into_iter().map(Some).collect();
+            let parts: Vec<Vec<(usize, &mut [f64])>> = assignment
+                .iter()
+                .map(|chunks| {
+                    chunks
+                        .iter()
+                        .flat_map(|ch| ch.range())
+                        .map(|r| (r + 1, rows[r + 1].take().expect("one owner per row")))
+                        .collect()
+                })
+                .collect();
+            pool.run_parts(parts, |_tid, owned| {
+                for (i, row) in owned {
+                    relax_line(row, src.segment(i - 1), src.segment(i + 1), src.segment(i));
+                }
+            });
             self.cur ^= 1;
         }
     }
@@ -346,29 +348,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_schedules_agree_with_each_other() {
-        let n = 33;
+    fn parallel_schedules_match_the_serial_sweeps() {
+        // Also with more workers than some schedules have chunks: n = 8
+        // leaves 6 interior rows for 8 workers.
         let boundary = |i: usize, j: usize| (i * 7 % 5) as f64 + (j % 3) as f64;
         let pool = ThreadPool::new(8);
-        let mut s1 = JacobiHost::new(n, boundary);
-        let mut s2 = JacobiHost::new(n, boundary);
-        let mut s3 = JacobiHost::new(n, boundary);
-        let mut serial = JacobiHost::new(n, boundary);
-        s1.run(50, &pool, Schedule::Static);
-        s2.run(50, &pool, Schedule::StaticChunk(1));
-        s3.run(50, &pool, Schedule::Dynamic(2));
-        serial.run_serial(50);
-        assert_eq!(
-            s1.to_vec(),
-            s2.to_vec(),
-            "schedules must not change the math"
-        );
-        assert_eq!(s1.to_vec(), s3.to_vec());
-        assert_eq!(
-            s1.to_vec(),
-            serial.to_vec(),
-            "the parallel sweeps must match the serial reference bit for bit"
-        );
+        for n in [33, 8] {
+            let mut serial = JacobiHost::new(n, boundary);
+            serial.run_serial(50);
+            for schedule in [
+                Schedule::Static,
+                Schedule::StaticChunk(1),
+                Schedule::StaticChunk(4),
+            ] {
+                let mut parallel = JacobiHost::new(n, boundary);
+                parallel.run(50, &pool, schedule);
+                assert_eq!(
+                    parallel.to_vec(),
+                    serial.to_vec(),
+                    "{schedule:?} at n={n} must match the serial sweeps bit for bit"
+                );
+            }
+        }
     }
 
     #[test]

@@ -304,15 +304,17 @@ impl LbmHost {
             }
         };
         let cells = &self.cells;
-        let dst_ptr = UnsafeSlice(dst.as_mut_ptr(), dst.len());
+        let dst = PushDst(dst.as_mut_ptr(), dst.len());
 
         let body = |z: usize, y: usize| {
-            // SAFETY: every destination slot (x,y,z,v) is written by exactly
-            // one source cell — its unique upstream neighbor — so parallel
-            // workers never write the same element.
-            let dst = unsafe { std::slice::from_raw_parts_mut(dst_ptr.ptr(), dst_ptr.len()) };
             for x in 1..=n {
-                collide_stream_cell(src, dst, cells, layout, d, x, y, z, omega);
+                collide_stream_cell(src, cells, layout, d, x, y, z, omega, |i, value| {
+                    // SAFETY: every destination slot (x,y,z,v) is written by
+                    // exactly one source cell — its unique upstream
+                    // neighbor — and nothing reads the destination grid
+                    // during the step, so no two workers touch one element.
+                    unsafe { dst.write(i, value) }
+                });
             }
         };
 
@@ -385,21 +387,31 @@ impl LbmHost {
     }
 }
 
+/// The destination grid of [`LbmHost::step`] (base pointer and length),
+/// shared by every worker. A cell's pushes scatter over its 19 neighbors,
+/// so the grid has no split into per-worker slices: workers write single
+/// elements through the pointer and never hold a `&mut` to the grid.
 #[derive(Clone, Copy)]
-struct UnsafeSlice(*mut f64, usize);
+struct PushDst(*mut f64, usize);
 
-impl UnsafeSlice {
-    /// Accessors so closures capture the wrapper, not the raw fields.
-    fn ptr(&self) -> *mut f64 {
-        self.0
-    }
-    fn len(&self) -> usize {
-        self.1
+// SAFETY: the pointer is only dereferenced by `write`, whose callers
+// guarantee that no two threads touch the same element.
+unsafe impl Send for PushDst {}
+unsafe impl Sync for PushDst {}
+
+impl PushDst {
+    /// Writes `value` to element `i` of the grid.
+    ///
+    /// # Safety
+    /// No other thread may access element `i` while the step runs.
+    #[inline]
+    unsafe fn write(self, i: usize, value: f64) {
+        assert!(i < self.1, "push target {i} outside the grid");
+        // SAFETY: `i` is in bounds (checked above) and the caller
+        // guarantees exclusive access to the element.
+        unsafe { self.0.add(i).write(value) }
     }
 }
-// SAFETY: used only for provably disjoint writes inside `step`.
-unsafe impl Send for UnsafeSlice {}
-unsafe impl Sync for UnsafeSlice {}
 
 /// Equilibrium distribution for direction `v` at (ρ, u).
 #[inline]
@@ -410,12 +422,12 @@ pub fn equilibrium(v: usize, rho: f64, u: &[f64; 3]) -> f64 {
 }
 
 /// Collides one fluid cell and pushes the post-collision distributions to
-/// its neighbors, with half-way bounce-back at solid/moving walls.
+/// its neighbors through `push(index, value)`, with half-way bounce-back at
+/// solid/moving walls.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn collide_stream_cell(
     src: &[f64],
-    dst: &mut [f64],
     cells: &[Cell],
     layout: LbmLayout,
     d: usize,
@@ -423,6 +435,7 @@ fn collide_stream_cell(
     y: usize,
     z: usize,
     omega: f64,
+    mut push: impl FnMut(usize, f64),
 ) {
     if cells[x + d * (y + d * z)] != Cell::Fluid {
         return;
@@ -450,17 +463,16 @@ fn collide_stream_cell(
         let ny = (y as i32 + C[v].1) as usize;
         let nz = (z as i32 + C[v].2) as usize;
         match cells[nx + d * (ny + d * nz)] {
-            Cell::Fluid => {
-                dst[layout.index(d, nx, ny, nz, v)] = post;
-            }
-            Cell::Solid => {
-                // Half-way bounce-back: reflected into the opposite
-                // direction at the source cell.
-                dst[layout.index(d, x, y, z, opposite(v))] = post;
-            }
+            Cell::Fluid => push(layout.index(d, nx, ny, nz, v), post),
+            // Half-way bounce-back: reflected into the opposite direction
+            // at the source cell.
+            Cell::Solid => push(layout.index(d, x, y, z, opposite(v)), post),
             Cell::Moving(uw) => {
                 let cu = C[v].0 as f64 * uw[0] + C[v].1 as f64 * uw[1] + C[v].2 as f64 * uw[2];
-                dst[layout.index(d, x, y, z, opposite(v))] = post - 6.0 * W[v] * rho * cu;
+                push(
+                    layout.index(d, x, y, z, opposite(v)),
+                    post - 6.0 * W[v] * rho * cu,
+                );
             }
         }
     }

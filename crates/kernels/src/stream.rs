@@ -20,9 +20,9 @@
 //! traffic is *not* counted, so e.g. triad's actual DRAM traffic is 4/3 of
 //! the reported figure.
 
-use crate::common::{place_threads, VirtualAlloc};
+use crate::common::{best_secs, place_threads, VirtualAlloc};
 use serde::Serialize;
-use t2opt_parallel::{chunk_assignment, Placement, Schedule, ThreadPool};
+use t2opt_parallel::{chunk_assignment, split_static, Placement, Schedule, ThreadPool};
 use t2opt_sim::telemetry::timeline::{StreamLabel, Timeline, TraceConfig};
 use t2opt_sim::trace::{chain_with_barriers, Program, StreamLoop, StreamSpec};
 use t2opt_sim::{ChipConfig, SimStats, Simulation};
@@ -244,82 +244,27 @@ pub fn run_host(cfg: &StreamConfig, kernel: StreamKernel, pool: &ThreadPool) -> 
     let scalar = 3.0f64;
     let n = cfg.n;
 
-    let mut best = f64::INFINITY;
-    for _ in 0..=cfg.ntimes {
-        let t0 = std::time::Instant::now();
-        match kernel {
-            StreamKernel::Copy => {
-                let (src, dst) = (&a, &mut c);
-                host_sweep2(pool, n, src, dst, |x| x);
-            }
-            StreamKernel::Scale => {
-                let (src, dst) = (&c, &mut b);
-                host_sweep2(pool, n, src, dst, move |x| scalar * x);
-            }
-            StreamKernel::Add => {
-                let (s1, s2, dst) = (&a, &b, &mut c);
-                host_sweep3(pool, n, s1, s2, dst, |x, y| x + y);
-            }
-            StreamKernel::Triad => {
-                let (s1, s2, dst) = (&b, &c, &mut a);
-                host_sweep3(pool, n, s1, s2, dst, move |x, y| x + scalar * y);
-            }
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
+    let best = best_secs(cfg.ntimes, || match kernel {
+        StreamKernel::Copy => host_sweep(pool, &mut c[..n], |i| a[i]),
+        StreamKernel::Scale => host_sweep(pool, &mut b[..n], |i| scalar * c[i]),
+        StreamKernel::Add => host_sweep(pool, &mut c[..n], |i| a[i] + b[i]),
+        StreamKernel::Triad => host_sweep(pool, &mut a[..n], |i| b[i] + scalar * c[i]),
+    });
     cfg.reported_bytes_per_sweep(kernel) as f64 / best / 1e9
 }
 
-fn host_sweep2(
-    pool: &ThreadPool,
-    n: usize,
-    src: &[f64],
-    dst: &mut [f64],
-    f: impl Fn(f64) -> f64 + Sync,
-) {
-    let dst_ptr = SendPtr(dst.as_mut_ptr());
-    pool.parallel_for(0..n, Schedule::Static, |_tid, range| {
-        // SAFETY: chunks are disjoint across threads (exact cover), so each
-        // dst element is written by exactly one thread.
-        let dst = unsafe { std::slice::from_raw_parts_mut(dst_ptr.get(), n) };
-        for i in range {
-            dst[i] = f(src[i]);
-        }
-    });
+/// One `schedule(static)` sweep `dst[i] = f(i)`: each worker writes its own
+/// chunk of `dst`.
+fn host_sweep(pool: &ThreadPool, dst: &mut [f64], f: impl Fn(usize) -> f64 + Sync) {
+    pool.run_parts(
+        split_static(dst, pool.num_threads()),
+        |_tid, (start, chunk)| {
+            for (i, x) in (start..).zip(chunk) {
+                *x = f(i);
+            }
+        },
+    );
 }
-
-fn host_sweep3(
-    pool: &ThreadPool,
-    n: usize,
-    s1: &[f64],
-    s2: &[f64],
-    dst: &mut [f64],
-    f: impl Fn(f64, f64) -> f64 + Sync,
-) {
-    let dst_ptr = SendPtr(dst.as_mut_ptr());
-    pool.parallel_for(0..n, Schedule::Static, |_tid, range| {
-        // SAFETY: chunks are disjoint across threads (exact cover).
-        let dst = unsafe { std::slice::from_raw_parts_mut(dst_ptr.get(), n) };
-        for i in range {
-            dst[i] = f(s1[i], s2[i]);
-        }
-    });
-}
-
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-
-impl SendPtr {
-    /// Accessor so closures capture the (Send + Sync) wrapper, not the raw
-    /// pointer field (edition-2021 disjoint captures).
-    fn get(&self) -> *mut f64 {
-        self.0
-    }
-}
-// SAFETY: the pointer is only used inside `parallel_for` on disjoint index
-// ranges while the caller holds the unique borrow.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 #[cfg(test)]
 mod tests {
@@ -452,16 +397,16 @@ mod tests {
     }
 
     #[test]
-    fn host_sweeps_compute_correctly() {
+    fn host_sweep_computes_correctly() {
         let pool = ThreadPool::new(3);
         let src: Vec<f64> = (0..1000).map(|i| i as f64).collect();
         let mut dst = vec![0.0; 1000];
-        host_sweep2(&pool, 1000, &src, &mut dst, |x| 2.0 * x);
+        host_sweep(&pool, &mut dst, |i| 2.0 * src[i]);
         assert!(dst.iter().enumerate().all(|(i, &v)| v == 2.0 * i as f64));
-        let s2: Vec<f64> = (0..1000).map(|i| (1000 - i) as f64).collect();
-        let mut dst3 = vec![0.0; 1000];
-        host_sweep3(&pool, 1000, &src, &s2, &mut dst3, |x, y| x + y);
-        assert!(dst3.iter().all(|&v| v == 1000.0));
+        // Fewer elements than workers: the idle workers write nothing.
+        let mut short = vec![0.0; 2];
+        host_sweep(&pool, &mut short, |i| src[i] + 1.0);
+        assert_eq!(short, vec![1.0, 2.0]);
     }
 
     #[test]

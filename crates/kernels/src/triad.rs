@@ -17,12 +17,12 @@
 //! machinery against a plain parallel loop — reproduced here on the host
 //! with [`run_host_segmented`] vs [`run_host_plain`].
 
-use crate::common::{place_threads, VirtualAlloc};
+use crate::common::{best_secs, place_threads, VirtualAlloc};
 use serde::Serialize;
 use t2opt_core::iter::seg_zip4;
 use t2opt_core::layout::LayoutSpec;
 use t2opt_core::seg_array::SegArray;
-use t2opt_parallel::{chunk_assignment, Placement, Schedule, ThreadPool};
+use t2opt_parallel::{chunk_assignment, split_static, Placement, Schedule, ThreadPool};
 use t2opt_sim::trace::{chain_with_barriers, Program, StreamLoop, StreamSpec};
 use t2opt_sim::{ChipConfig, SimStats, Simulation};
 
@@ -199,80 +199,62 @@ pub fn run_sim(cfg: &TriadConfig, chip: &ChipConfig, placement: &Placement) -> T
     }
 }
 
-/// One host triad sweep over plain slices with the pool (the Fig. 5
-/// baseline). Returns GB/s at 32 B/element.
+/// Host triad over plain slices with the pool (the Fig. 5 baseline): each
+/// worker runs [`triad_kernel`] on its `schedule(static)` chunk, and the
+/// best of `ntimes + 1` sweeps counts. Returns GB/s at 32 B/element.
 pub fn run_host_plain(n: usize, pool: &ThreadPool, ntimes: usize) -> f64 {
-    let a = vec![0.0f64; n];
+    let mut a = vec![0.0f64; n];
     let b = vec![1.0f64; n];
     let c = vec![2.0f64; n];
     let d = vec![0.5f64; n];
-    let a_ptr = a.as_ptr() as usize;
-    let mut best = f64::INFINITY;
-    for _ in 0..=ntimes {
-        let t0 = std::time::Instant::now();
-        pool.parallel_for(0..n, Schedule::Static, |_tid, range| {
-            // SAFETY: disjoint ranges per thread (exact cover).
-            let a = unsafe { std::slice::from_raw_parts_mut(a_ptr as *mut f64, n) };
-            for i in range {
-                a[i] = b[i] + c[i] * d[i];
-            }
-        });
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
+    let best = best_secs(ntimes, || host_plain_sweep(pool, &mut a, &b, &c, &d));
     std::hint::black_box(&a);
     n as f64 * 32.0 / best / 1e9
 }
 
-/// One host triad sweep through the segmented-iterator machinery: arrays
-/// are `SegArray`s with one segment per thread (the paper's manual
-/// scheduling); each worker runs the serial kernel on its own segment
-/// slices. Returns GB/s at 32 B/element.
+/// One parallel triad sweep over plain slices: each worker runs
+/// [`triad_kernel`] on its `schedule(static)` chunk of the four arrays.
+fn host_plain_sweep(pool: &ThreadPool, a: &mut [f64], b: &[f64], c: &[f64], d: &[f64]) {
+    pool.run_parts(split_static(a, pool.num_threads()), |_tid, (start, a)| {
+        let end = start + a.len();
+        triad_kernel(a, &b[start..end], &c[start..end], &d[start..end]);
+    });
+}
+
+/// Host triad through the segmented-iterator machinery: the arrays are
+/// `SegArray`s with one segment per thread (the paper's manual
+/// scheduling), each worker runs [`triad_kernel`] on its own segments, and
+/// the best of `ntimes + 1` sweeps counts. Returns GB/s at 32 B/element.
 pub fn run_host_segmented(n: usize, pool: &ThreadPool, ntimes: usize) -> f64 {
-    let t = pool.num_threads();
     let spec = LayoutSpec::new().base_align(8192);
-    let mut a = SegArray::<f64>::builder(n)
-        .segments(t)
-        .spec(spec.clone())
-        .build();
-    let mut b = SegArray::<f64>::builder(n)
-        .segments(t)
-        .spec(spec.clone())
-        .build();
-    let mut c = SegArray::<f64>::builder(n)
-        .segments(t)
-        .spec(spec.clone())
-        .build();
-    let mut d = SegArray::<f64>::builder(n).segments(t).spec(spec).build();
+    let seg_array = || {
+        SegArray::<f64>::builder(n)
+            .segments(pool.num_threads())
+            .spec(spec.clone())
+            .build()
+    };
+    let (mut a, mut b, mut c, mut d) = (seg_array(), seg_array(), seg_array(), seg_array());
     b.fill(1.0);
     c.fill(2.0);
     d.fill(0.5);
-    let mut best = f64::INFINITY;
-    for _ in 0..=ntimes {
-        let t0 = std::time::Instant::now();
-        {
-            // Hand each worker its own (disjoint) segment slices.
-            let a_segs: Vec<parking_lot::Mutex<&mut [f64]>> = a
-                .segments_mut()
-                .into_iter()
-                .map(parking_lot::Mutex::new)
-                .collect();
-            let b_ref = &b;
-            let c_ref = &c;
-            let d_ref = &d;
-            pool.run(|tid| {
-                let mut a_seg = a_segs[tid].lock();
-                triad_kernel(
-                    &mut a_seg,
-                    b_ref.segment(tid),
-                    c_ref.segment(tid),
-                    d_ref.segment(tid),
-                );
-            });
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    std::hint::black_box(a.get(n.saturating_sub(1).min(n.saturating_sub(1))));
+    let best = best_secs(ntimes, || host_segmented_sweep(pool, &mut a, &b, &c, &d));
+    std::hint::black_box(a.get(n.saturating_sub(1)));
     n as f64 * 32.0 / best / 1e9
+}
+
+/// One parallel triad sweep through the segments: worker `k` runs
+/// [`triad_kernel`] on segment `k` of the four arrays, which must have at
+/// most one segment per worker.
+fn host_segmented_sweep(
+    pool: &ThreadPool,
+    a: &mut SegArray<f64>,
+    b: &SegArray<f64>,
+    c: &SegArray<f64>,
+    d: &SegArray<f64>,
+) {
+    pool.run_parts(a.segments_mut(), |k, a| {
+        triad_kernel(a, b.segment(k), c.segment(k), d.segment(k));
+    });
 }
 
 /// The serial low-level triad kernel — "purely serial... compiled
@@ -391,17 +373,46 @@ mod tests {
     }
 
     #[test]
-    fn host_parallel_segmented_matches_reference() {
+    fn host_paths_run() {
         let pool = ThreadPool::new(4);
-        let gbs = run_host_segmented(100_000, &pool, 1);
-        assert!(gbs > 0.0);
+        assert!(run_host_segmented(100_000, &pool, 1) > 0.0);
+        assert!(run_host_plain(100_000, &pool, 1) > 0.0);
     }
 
     #[test]
-    fn host_plain_runs() {
-        let pool = ThreadPool::new(4);
-        let gbs = run_host_plain(100_000, &pool, 1);
-        assert!(gbs > 0.0);
+    fn both_fig5_sweeps_write_the_serial_result() {
+        // Both Fig. 5 paths must compute what the serial kernel computes,
+        // bit for bit, including with more workers than elements.
+        for (n, t) in [(10_007, 4), (3, 5)] {
+            let pool = ThreadPool::new(t);
+            let b: Vec<f64> = (0..n).map(|i| i as f64).collect();
+            let c: Vec<f64> = (0..n).map(|i| (i % 7) as f64).collect();
+            let d: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
+            let mut serial = vec![0.0; n];
+            triad_kernel(&mut serial, &b, &c, &d);
+
+            let mut plain = vec![f64::NAN; n];
+            host_plain_sweep(&pool, &mut plain, &b, &c, &d);
+            assert_eq!(plain, serial, "plain sweep, n={n} t={t}");
+
+            let seg_array = |src: &[f64]| {
+                let mut s = SegArray::<f64>::builder(n)
+                    .segments(t)
+                    .spec(LayoutSpec::new().base_align(8192))
+                    .build();
+                s.fill_with(|i| src[i]);
+                s
+            };
+            let mut a = seg_array(&vec![f64::NAN; n]);
+            host_segmented_sweep(
+                &pool,
+                &mut a,
+                &seg_array(&b),
+                &seg_array(&c),
+                &seg_array(&d),
+            );
+            assert_eq!(a.to_vec(), serial, "segmented sweep, n={n} t={t}");
+        }
     }
 
     #[test]

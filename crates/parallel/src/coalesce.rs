@@ -8,8 +8,8 @@
 //! standard towards more flexible options for parallel execution of loop
 //! nests" (OpenMP 3.0's `collapse` arrived later).
 //!
-//! [`Coalesce2`]/[`Coalesce3`] provide the index algebra: a flattened
-//! iteration space plus decoding back to the original loop indices.
+//! [`Coalesce2`] provides the index algebra: a flattened iteration space
+//! plus decoding back to the original loop indices.
 
 /// Two nested loops `for i in 0..n1 { for j in 0..n2 }` flattened into a
 /// single space of `n1 * n2` iterations.
@@ -50,63 +50,6 @@ impl Coalesce2 {
     }
 }
 
-/// Three nested loops flattened into `n1 * n2 * n3` iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Coalesce3 {
-    n1: usize,
-    n2: usize,
-    n3: usize,
-}
-
-impl Coalesce3 {
-    /// Creates the flattened space.
-    pub fn new(n1: usize, n2: usize, n3: usize) -> Self {
-        Coalesce3 { n1, n2, n3 }
-    }
-
-    /// Total number of flattened iterations.
-    pub fn len(&self) -> usize {
-        self.n1 * self.n2 * self.n3
-    }
-
-    /// Whether the space is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Decodes a flat index into `(i, j, k)`.
-    #[inline]
-    pub fn decode(&self, flat: usize) -> (usize, usize, usize) {
-        debug_assert!(flat < self.len());
-        let i = flat / (self.n2 * self.n3);
-        let rem = flat % (self.n2 * self.n3);
-        (i, rem / self.n3, rem % self.n3)
-    }
-
-    /// Encodes `(i, j, k)` into the flat index.
-    #[inline]
-    pub fn encode(&self, i: usize, j: usize, k: usize) -> usize {
-        debug_assert!(i < self.n1 && j < self.n2 && k < self.n3);
-        (i * self.n2 + j) * self.n3 + k
-    }
-}
-
-/// Worst-case static load imbalance of parallelizing `n` iterations over `t`
-/// threads: `ceil(n/t) / floor(n/t)` (∞ when some thread gets nothing).
-/// This is the "modulo effect" amplitude — coalescing shrinks it toward 1.
-pub fn static_imbalance(n: usize, t: usize) -> f64 {
-    if n == 0 || t == 0 {
-        return 1.0;
-    }
-    let lo = n / t;
-    let hi = n.div_ceil(t);
-    if lo == 0 {
-        f64::INFINITY
-    } else {
-        hi as f64 / lo as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,32 +72,5 @@ mod tests {
         assert_eq!(c.decode(3), (0, 3));
         assert_eq!(c.decode(4), (1, 0));
         assert_eq!(c.decode(11), (2, 3));
-    }
-
-    #[test]
-    fn coalesce3_round_trip() {
-        let c = Coalesce3::new(3, 5, 7);
-        assert_eq!(c.len(), 105);
-        for flat in 0..c.len() {
-            let (i, j, k) = c.decode(flat);
-            assert_eq!(c.encode(i, j, k), flat);
-        }
-    }
-
-    #[test]
-    fn coalescing_removes_modulo_effect() {
-        // LBM at N = 129 on 64 threads: outer-loop parallelism is 1.5×
-        // imbalanced, fused I-J parallelism is nearly perfect.
-        let outer = static_imbalance(129, 64);
-        let fused = static_imbalance(129 * 129, 64);
-        assert!((outer - 1.5).abs() < 1e-12);
-        assert!(fused < 1.01, "fused imbalance {fused}");
-    }
-
-    #[test]
-    fn imbalance_edge_cases() {
-        assert_eq!(static_imbalance(64, 64), 1.0);
-        assert_eq!(static_imbalance(0, 8), 1.0);
-        assert!(static_imbalance(3, 8).is_infinite());
     }
 }

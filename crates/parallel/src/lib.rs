@@ -2,10 +2,16 @@
 //!
 //! An OpenMP-flavoured shared-memory parallel runtime, modelling the
 //! environment of Hager, Zeiser & Wellein (2008): a fixed team of worker
-//! threads with explicit *placement* (the Solaris `processor_bind()` /
-//! `SUNW_MP_PROCBIND` pinning the paper relies on), OpenMP loop *schedules*
-//! (`static`, `static,chunk`, `dynamic`, `guided`), and loop *coalescing*
-//! (the manual `collapse` the paper uses to remove the LBM "modulo effect").
+//! threads with optional scatter *placement* (the Solaris
+//! `processor_bind()` / `SUNW_MP_PROCBIND` pinning the paper relies on),
+//! the OpenMP loop *schedules* the paper runs (`static`, `static,chunk`),
+//! and two-level loop *coalescing* (the manual `collapse` the paper uses to
+//! remove the LBM "modulo effect").
+//!
+//! A worker gets mutable output one way: [`ThreadPool::run_parts`] moves
+//! part `k` of a list split before the region (for example by
+//! [`schedule::split_static`]) to worker `k`, and [`ThreadPool::map`]
+//! returns one result per item in item order.
 //!
 //! The same [`Schedule`] and [`Placement`] types drive both host execution
 //! (here) and the T2 simulator (`t2opt-sim`), so an experiment's
@@ -31,7 +37,7 @@ pub mod placement;
 pub mod pool;
 pub mod schedule;
 
-pub use coalesce::{Coalesce2, Coalesce3};
+pub use coalesce::Coalesce2;
 pub use placement::Placement;
 pub use pool::{PoolMetricsSnapshot, ThreadPool};
-pub use schedule::{chunk_assignment, Chunk, Schedule};
+pub use schedule::{chunk_assignment, split_static, Chunk, Schedule};

@@ -24,17 +24,6 @@ pub enum Placement {
         /// Number of cores to scatter over.
         n_cores: usize,
     },
-    /// Compact: fill core 0's hardware threads first, then core 1, etc.
-    /// Thread `i` goes to core `i / threads_per_core`.
-    Compact {
-        /// Hardware threads per core.
-        threads_per_core: usize,
-    },
-    /// Explicit per-thread core list (thread `i` → `cores[i % cores.len()]`).
-    Explicit(
-        /// The core index for each thread.
-        Vec<usize>,
-    ),
 }
 
 impl Placement {
@@ -48,27 +37,7 @@ impl Placement {
         match self {
             Placement::None => None,
             Placement::Scatter { n_cores } => Some(tid % n_cores.max(&1)),
-            Placement::Compact { threads_per_core } => Some(tid / (*threads_per_core).max(1)),
-            Placement::Explicit(cores) => {
-                if cores.is_empty() {
-                    None
-                } else {
-                    Some(cores[tid % cores.len()])
-                }
-            }
         }
-    }
-
-    /// How many team threads land on each of `n_cores` cores (unpinned
-    /// threads are not counted).
-    pub fn occupancy(&self, t: usize, n_cores: usize) -> Vec<usize> {
-        let mut occ = vec![0usize; n_cores];
-        for tid in 0..t {
-            if let Some(c) = self.core_of(tid) {
-                occ[c % n_cores] += 1;
-            }
-        }
-        occ
     }
 }
 
@@ -95,34 +64,12 @@ mod tests {
         assert_eq!(p.core_of(0), Some(0));
         assert_eq!(p.core_of(7), Some(7));
         assert_eq!(p.core_of(8), Some(0));
-        assert_eq!(p.occupancy(64, 8), vec![8; 8]);
-        assert_eq!(p.occupancy(16, 8), vec![2; 8]);
-    }
-
-    #[test]
-    fn compact_fills_cores_in_order() {
-        let p = Placement::Compact {
-            threads_per_core: 8,
-        };
-        assert_eq!(p.core_of(0), Some(0));
-        assert_eq!(p.core_of(7), Some(0));
-        assert_eq!(p.core_of(8), Some(1));
-        assert_eq!(p.occupancy(16, 8), vec![8, 8, 0, 0, 0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn explicit_wraps() {
-        let p = Placement::Explicit(vec![3, 1]);
-        assert_eq!(p.core_of(0), Some(3));
-        assert_eq!(p.core_of(1), Some(1));
-        assert_eq!(p.core_of(2), Some(3));
-        assert_eq!(Placement::Explicit(vec![]).core_of(0), None);
+        assert_eq!(p.core_of(63), Some(7));
     }
 
     #[test]
     fn none_is_unpinned() {
         assert_eq!(Placement::None.core_of(5), None);
-        assert_eq!(Placement::None.occupancy(8, 4), vec![0; 4]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! A persistent, pinnable worker-thread pool with OpenMP-style
-//! `parallel_for`.
+//! `parallel_for` and two output hand-offs, `run_parts` and `map`.
 //!
 //! The pool is created once with a fixed team size (and optionally a
 //! [`Placement`]), mirroring OpenMP's thread team: work is broadcast to all
@@ -9,11 +9,11 @@
 //! measurement — thread creation would otherwise dominate.
 
 use crate::placement::{pin_current_thread, Placement};
-use crate::schedule::{chunk_assignment, Chunk, ChunkCursor, Schedule};
+use crate::schedule::{chunk_assignment, Schedule};
 use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -84,7 +84,6 @@ struct Shared {
 /// ```
 pub struct ThreadPool {
     n: usize,
-    placement: Placement,
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -138,22 +137,12 @@ impl ThreadPool {
                     .expect("failed to spawn worker thread")
             })
             .collect();
-        ThreadPool {
-            n,
-            placement,
-            shared,
-            workers,
-        }
+        ThreadPool { n, shared, workers }
     }
 
     /// Team size.
     pub fn num_threads(&self) -> usize {
         self.n
-    }
-
-    /// The placement the team was created with.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
     }
 
     /// A snapshot of the pool's instrumentation, or `None` for a pool built
@@ -221,6 +210,47 @@ impl ThreadPool {
         );
     }
 
+    /// Runs `f(k, parts[k])` on worker `k` for every part and blocks until
+    /// all are done; workers past the last part sit the region out. This is
+    /// how a worker gets mutable output: split it into disjoint parts (for
+    /// example with [`crate::schedule::split_static`]) before the region,
+    /// and each part moves to exactly one worker.
+    ///
+    /// # Panics
+    /// Panics if there are more parts than workers.
+    pub fn run_parts<P: Send>(&self, parts: Vec<P>, f: impl Fn(usize, P) + Sync) {
+        assert!(
+            parts.len() <= self.n,
+            "{} parts for a team of {}",
+            parts.len(),
+            self.n
+        );
+        let slots: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+        self.run(|tid| {
+            if let Some(part) = slots.get(tid).and_then(|slot| slot.lock().take()) {
+                f(tid, part);
+            }
+        });
+    }
+
+    /// Maps `f(tid, item)` over `items` and returns the results in item
+    /// order. Workers claim items one at a time (OpenMP `dynamic,1`), so
+    /// items of uneven cost balance across the team; which worker ran an
+    /// item never changes its result's position.
+    pub fn map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
+        let results: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
+        self.run(|tid| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            *results[i].lock() = Some(f(tid, item));
+        });
+        results
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every item is mapped"))
+            .collect()
+    }
+
     /// OpenMP-style `parallel for` over `range` with the given schedule.
     /// `f(tid, chunk_range)` is called once per assigned chunk; the call
     /// returns after the implicit barrier.
@@ -232,21 +262,12 @@ impl ThreadPool {
     ) {
         let offset = range.start;
         let n = range.end.saturating_sub(range.start);
-        if schedule.is_deterministic() {
-            let assignment = chunk_assignment(schedule, n, self.n);
-            self.run(|tid| {
-                for ch in &assignment[tid] {
-                    f(tid, offset + ch.start..offset + ch.end);
-                }
-            });
-        } else {
-            let cursor = ChunkCursor::new(schedule, n, self.n);
-            self.run(|tid| {
-                while let Some(Chunk { start, end }) = cursor.claim(tid) {
-                    f(tid, offset + start..offset + end);
-                }
-            });
-        }
+        let assignment = chunk_assignment(schedule, n, self.n);
+        self.run(|tid| {
+            for ch in &assignment[tid] {
+                f(tid, offset + ch.start..offset + ch.end);
+            }
+        });
     }
 }
 
@@ -342,22 +363,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_dynamic_covers_range() {
-        let pool = ThreadPool::new(4);
-        let n = 5000;
-        let total = AtomicUsize::new(0);
-        pool.parallel_for(0..n, Schedule::Dynamic(17), |_tid, range| {
-            total.fetch_add(range.len(), Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), n);
-    }
-
-    #[test]
-    fn parallel_for_guided_covers_offset_range() {
+    fn parallel_for_covers_offset_range() {
         let pool = ThreadPool::new(3);
         let total = AtomicUsize::new(0);
         let lo = AtomicUsize::new(usize::MAX);
-        pool.parallel_for(100..1100, Schedule::Guided(8), |_tid, range| {
+        pool.parallel_for(100..1100, Schedule::StaticChunk(8), |_tid, range| {
             total.fetch_add(range.len(), Ordering::Relaxed);
             lo.fetch_min(range.start, Ordering::Relaxed);
         });
@@ -379,26 +389,33 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_mutable_output_via_chunks() {
+    fn run_parts_moves_part_k_to_worker_k() {
         // The idiomatic kernel pattern: split the output first, then let
-        // each thread write its own part.
+        // each worker write its own part. Five parts on eight workers:
+        // workers 5..8 get nothing and must not be called.
         let pool = ThreadPool::new(8);
-        let mut data = vec![0u64; 4096];
-        let chunks: Vec<&mut [u64]> = data.chunks_mut(512).collect();
-        // chunks are moved into per-slot Mutex-free cells via simple index
-        // partition: one chunk per thread id here.
-        let cells: Vec<parking_lot::Mutex<&mut [u64]>> =
-            chunks.into_iter().map(parking_lot::Mutex::new).collect();
-        pool.run(|tid| {
-            let mut guard = cells[tid].lock();
-            for (i, x) in guard.iter_mut().enumerate() {
-                *x = (tid * 10_000 + i) as u64;
+        let mut data = vec![0usize; 5 * 512];
+        let calls = AtomicUsize::new(0);
+        pool.run_parts(data.chunks_mut(512).collect(), |tid, part| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            assert!(tid < 5, "worker {tid} has no part");
+            for (i, x) in part.iter_mut().enumerate() {
+                *x = tid * 10_000 + i;
             }
         });
-        drop(cells);
-        assert_eq!(data[0], 0);
-        assert_eq!(data[512], 10_000);
-        assert_eq!(data[4095], 70_511);
+        assert_eq!(calls.load(Ordering::Relaxed), 5);
+        for (k, part) in data.chunks(512).enumerate() {
+            assert_eq!(part[0], k * 10_000);
+            assert_eq!(part[511], k * 10_000 + 511);
+        }
+        // No parts: nobody is called.
+        pool.run_parts(Vec::<()>::new(), |_, _| panic!("must not be called"));
+    }
+
+    #[test]
+    #[should_panic(expected = "3 parts for a team of 2")]
+    fn run_parts_rejects_more_parts_than_workers() {
+        ThreadPool::new(2).run_parts(vec![(); 3], |_, _| {});
     }
 
     #[test]
@@ -483,7 +500,7 @@ mod tests {
         pool.parallel_for(5..5, Schedule::Static, |_t, _r| {
             panic!("must not be called");
         });
-        pool.parallel_for(5..5, Schedule::Dynamic(4), |_t, _r| {
+        pool.parallel_for(5..5, Schedule::StaticChunk(4), |_t, _r| {
             panic!("must not be called");
         });
     }

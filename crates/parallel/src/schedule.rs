@@ -10,15 +10,15 @@
 //! sizes of a static schedule don't divide evenly.
 //!
 //! [`Schedule`] describes the policy; [`chunk_assignment`] materializes the
-//! full per-thread chunk lists for the *deterministic* schedules (used both
-//! by the host pool and to generate simulator traces); the dynamic/guided
-//! schedules are claimed at runtime through [`ChunkCursor`].
+//! full per-thread chunk lists (used both by the host pool and to generate
+//! simulator traces), and [`split_static`] cuts a slice into the
+//! `schedule(static)` chunks so each worker can own its part.
 
 use serde::Serialize;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// An OpenMP-style loop schedule.
+/// An OpenMP-style loop schedule. Both are deterministic: the
+/// iteration→thread map is fixed before the loop runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Schedule {
     /// `schedule(static)`: iterations divided into one contiguous,
@@ -29,19 +29,6 @@ pub enum Schedule {
     /// chunk `k` goes to thread `k mod t`. `StaticChunk(1)` is the paper's
     /// `static,1`.
     StaticChunk(usize),
-    /// `schedule(dynamic,c)`: chunks of `c` claimed by whichever thread is
-    /// free.
-    Dynamic(usize),
-    /// `schedule(guided,c)`: exponentially shrinking chunks (remaining / t,
-    /// floored at `c`), claimed dynamically.
-    Guided(usize),
-}
-
-impl Schedule {
-    /// Whether the iteration→thread map is fixed before execution.
-    pub fn is_deterministic(&self) -> bool {
-        matches!(self, Schedule::Static | Schedule::StaticChunk(_))
-    }
 }
 
 /// A contiguous range of iterations assigned to one thread.
@@ -70,13 +57,12 @@ impl Chunk {
     }
 }
 
-/// Materializes the per-thread chunk lists of a deterministic schedule for
-/// `n` iterations on `t` threads. Every iteration appears in exactly one
-/// chunk of exactly one thread, in increasing order per thread.
+/// Materializes the per-thread chunk lists of a schedule for `n`
+/// iterations on `t` threads. Every iteration appears in exactly one chunk
+/// of exactly one thread, in increasing order per thread.
 ///
 /// # Panics
-/// Panics for [`Schedule::Dynamic`]/[`Schedule::Guided`] (not deterministic)
-/// and for `t == 0` or a zero chunk size.
+/// Panics for `t == 0` or a zero chunk size.
 pub fn chunk_assignment(schedule: Schedule, n: usize, t: usize) -> Vec<Vec<Chunk>> {
     assert!(t > 0, "need at least one thread");
     let mut per_thread: Vec<Vec<Chunk>> = vec![Vec::new(); t];
@@ -108,84 +94,28 @@ pub fn chunk_assignment(schedule: Schedule, n: usize, t: usize) -> Vec<Vec<Chunk
                 k += 1;
             }
         }
-        Schedule::Dynamic(_) | Schedule::Guided(_) => {
-            panic!("dynamic/guided schedules have no static assignment; use ChunkCursor")
-        }
     }
     per_thread
 }
 
-/// Runtime chunk dispenser for dynamic and guided schedules (also handles
-/// the deterministic ones for uniformity inside the pool).
-pub struct ChunkCursor {
-    n: usize,
-    t: usize,
-    schedule: Schedule,
-    next: AtomicUsize,
-}
-
-impl ChunkCursor {
-    /// A cursor over `n` iterations for `t` threads.
-    pub fn new(schedule: Schedule, n: usize, t: usize) -> Self {
-        assert!(t > 0);
-        if let Schedule::Dynamic(c) | Schedule::Guided(c) = schedule {
-            assert!(c > 0, "chunk size must be positive");
-        }
-        ChunkCursor {
-            n,
-            t,
-            schedule,
-            next: AtomicUsize::new(0),
-        }
-    }
-
-    /// Claims the next chunk for `tid`, or `None` when the loop is
-    /// exhausted. For static schedules the result depends only on `tid` and
-    /// the claim count; for dynamic/guided it is first come, first served.
-    pub fn claim(&self, _tid: usize) -> Option<Chunk> {
-        match self.schedule {
-            Schedule::Dynamic(c) => {
-                let start = self.next.fetch_add(c, Ordering::Relaxed);
-                if start >= self.n {
-                    return None;
-                }
-                Some(Chunk {
-                    start,
-                    end: (start + c).min(self.n),
-                })
-            }
-            Schedule::Guided(min) => loop {
-                let start = self.next.load(Ordering::Relaxed);
-                if start >= self.n {
-                    return None;
-                }
-                let remaining = self.n - start;
-                let size = (remaining / self.t).max(min).min(remaining);
-                if self
-                    .next
-                    .compare_exchange_weak(
-                        start,
-                        start + size,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    return Some(Chunk {
-                        start,
-                        end: start + size,
-                    });
-                }
-            },
-            Schedule::Static | Schedule::StaticChunk(_) => {
-                panic!("static schedules are pre-assigned; use chunk_assignment")
-            }
-        }
-    }
+/// Splits `data` into its `schedule(static)` chunks for `t` threads: entry
+/// `k` is thread `k`'s chunk with its start offset in `data`. Threads left
+/// without iterations (`data.len() < t`) get no entry, so the result feeds
+/// [`crate::ThreadPool::run_parts`] directly.
+pub fn split_static<T>(mut data: &mut [T], t: usize) -> Vec<(usize, &mut [T])> {
+    chunk_assignment(Schedule::Static, data.len(), t)
+        .into_iter()
+        .flatten()
+        .map(|ch| {
+            let (chunk, rest) = std::mem::take(&mut data).split_at_mut(ch.len());
+            data = rest;
+            (ch.start, chunk)
+        })
+        .collect()
 }
 
 /// Validates that an assignment covers `0..n` exactly once (test helper,
-/// exported for reuse in integration tests and the simulator).
+/// exported for the crate's property tests).
 pub fn assert_exact_cover(assignment: &[Vec<Chunk>], n: usize) {
     let mut seen = vec![false; n];
     for chunks in assignment {
@@ -268,61 +198,26 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_cursor_covers_exactly() {
-        let cur = ChunkCursor::new(Schedule::Dynamic(7), 100, 4);
-        let mut seen = [false; 100];
-        while let Some(ch) = cur.claim(0) {
-            for i in ch.range() {
-                assert!(!seen[i]);
-                seen[i] = true;
+    fn split_static_cuts_the_static_chunks() {
+        // n < t, n = t and n ≫ t: entry k is thread k's static chunk, with
+        // its start offset, and threads without iterations get no entry.
+        for (n, t) in [(3, 8), (8, 8), (1000, 7)] {
+            let mut data: Vec<usize> = (0..n).collect();
+            let parts = split_static(&mut data, t);
+            let chunks: Vec<Chunk> = chunk_assignment(Schedule::Static, n, t)
+                .into_iter()
+                .flatten()
+                .collect();
+            assert_eq!(parts.len(), chunks.len(), "n={n} t={t}");
+            assert_eq!(parts.len(), n.min(t));
+            for ((start, part), ch) in parts.iter().zip(&chunks) {
+                assert_eq!(*start, ch.start);
+                assert_eq!(part.len(), ch.len());
+                // The part is the slice at that offset, not a copy of it.
+                assert_eq!(part.first(), Some(&ch.start));
             }
         }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn guided_chunks_shrink() {
-        let cur = ChunkCursor::new(Schedule::Guided(4), 1000, 4);
-        let mut sizes = Vec::new();
-        while let Some(ch) = cur.claim(0) {
-            sizes.push(ch.len());
-        }
-        assert_eq!(sizes.iter().sum::<usize>(), 1000);
-        // Non-increasing and floored at the minimum (except possibly the
-        // final remainder).
-        for w in sizes.windows(2) {
-            assert!(w[1] <= w[0], "guided chunks must shrink: {sizes:?}");
-        }
-        assert_eq!(sizes[0], 250);
-        for &s in &sizes[..sizes.len() - 1] {
-            assert!(s >= 4);
-        }
-    }
-
-    #[test]
-    fn dynamic_cursor_concurrent_exact_cover() {
-        use std::sync::Arc;
-        let cur = Arc::new(ChunkCursor::new(Schedule::Dynamic(3), 10_000, 8));
-        let counters: Vec<_> = (0..8)
-            .map(|tid| {
-                let cur = Arc::clone(&cur);
-                std::thread::spawn(move || {
-                    let mut count = 0usize;
-                    while let Some(ch) = cur.claim(tid) {
-                        count += ch.len();
-                    }
-                    count
-                })
-            })
-            .collect();
-        let total: usize = counters.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, 10_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "dynamic/guided")]
-    fn dynamic_has_no_static_assignment() {
-        chunk_assignment(Schedule::Dynamic(1), 10, 2);
+        assert!(split_static(&mut [0u8; 0], 4).is_empty());
     }
 
     #[test]

@@ -55,8 +55,8 @@
 //!   path was shared.
 //! * **Arbitrated (read-first)** admission only parks the request in the
 //!   controller's pending queue and schedules an arbitration event; when
-//!   the event fires and the southbound channel is free, the run's one
-//!   [`crate::policy::QueuePolicy`] picks among the arrived requests and
+//!   the event fires and the southbound channel is free,
+//!   [`crate::policy::read_first`] picks among the arrived requests and
 //!   the service step resolves the pick. Completed entries are dropped
 //!   wherever they sit, and a slot frees at the earliest completion.
 //!   NACKed threads whose retry time is unknowable (every queue occupant
@@ -64,8 +64,9 @@
 //!   next service.
 //!
 //! Full controller queues and full bank miss buffers NACK the request
-//! under both. Everything is deterministically seeded and policies are
-//! stateless, so simulations are bit-reproducible under every policy.
+//! under both. Everything is deterministically seeded and the pick is a
+//! pure function of the queue, so simulations are bit-reproducible under
+//! every policy.
 //!
 //! ## Why the gang window exists
 //!
@@ -88,7 +89,7 @@
 use crate::cache::{Access, L2Cache};
 use crate::config::{ChipConfig, CoreConfig};
 use crate::mc::MemController;
-use crate::policy::{MemRequest, QueuePolicy, ReqClass};
+use crate::policy::{read_first, MemRequest, ReqClass};
 use crate::queue::EventQueue;
 use crate::stats::SimStats;
 use crate::trace::{Op, Program};
@@ -195,9 +196,8 @@ struct MemSystem {
     /// Owned rather than borrowed: the hot paths read it on every op, and a
     /// borrow costs a pointer chase per read.
     cfg: ChipConfig,
-    /// FIFO services at admission, other policies at [`Ev::McArb`] events.
+    /// FIFO services at admission, read-first at [`Ev::McArb`] events.
     fifo: bool,
-    policy: Box<dyn QueuePolicy>,
     stats: SimStats,
     cache: L2Cache,
     banks: Vec<BankState>,
@@ -436,7 +436,6 @@ impl MemSystem {
         MemSystem {
             cfg: cfg.clone(),
             fifo: cfg.policy.is_fifo(),
-            policy: cfg.policy.build(),
             stats: SimStats::new(cfg.n_controllers(), cfg.n_banks()),
             cache: L2Cache::new(&cfg.l2),
             banks: (0..cfg.n_banks()).map(|_| BankState::default()).collect(),
@@ -707,9 +706,9 @@ impl MemSystem {
         }
     }
 
-    /// Controller `mc`'s arbitration step at `now` (arbitrated policies
-    /// only): once the southbound channel is free, the policy picks one
-    /// arrived request for the service step.
+    /// Controller `mc`'s arbitration step at `now` (read-first only): once
+    /// the southbound channel is free, [`read_first`] picks one arrived
+    /// request for the service step.
     fn arbitrate<P: SimProbe>(&mut self, mc: usize, now: u64, thr: &mut Threads<P>) {
         let m = &mut self.mcs[mc];
         if m.arb_at == Some(now) {
@@ -728,7 +727,7 @@ impl MemSystem {
             return;
         }
         // Requests that have actually arrived are eligible: move them to the
-        // front. A policy picks by request id, so their order does not matter.
+        // front. The pick goes by request id, so their order does not matter.
         let mut n = 0;
         for i in 0..m.pending.len() {
             if m.pending[i].arrival <= now {
@@ -737,15 +736,11 @@ impl MemSystem {
             }
         }
         if n > 0 {
-            // One service slot: the policy picks, the service step resolves
-            // the completion time.
-            let sel = self.policy.select(&m.pending[..n]);
-            assert!(
-                sel < n,
-                "policy {} returned out-of-range index {sel} ({n} eligible)",
-                self.policy.name()
-            );
-            let req = m.pending.swap_remove(sel);
+            // One service slot: read-first picks, the service step resolves
+            // the completion time. FIFO never gets here; its cap of 0 would
+            // pick the oldest request.
+            let cap = self.cfg.policy.starvation_cap().unwrap_or(0);
+            let req = m.pending.swap_remove(read_first(&m.pending[..n], cap));
             self.service(mc, req, now, thr);
         }
         let m = &self.mcs[mc];

@@ -58,7 +58,7 @@ pub use t2opt_telemetry as telemetry;
 pub mod prelude {
     pub use crate::config::{ChipConfig, CoreConfig, L2Config, MemConfig};
     pub use crate::engine::{Simulation, ThreadSpec};
-    pub use crate::policy::{MemRequest, PolicyKind, QueuePolicy, ReqClass, POLICY_NAMES};
+    pub use crate::policy::{MemRequest, PolicyKind, ReqClass, POLICY_NAMES};
     pub use crate::stats::SimStats;
     pub use crate::trace::{chain_with_barriers, Dir, Op, Program, StreamLoop, StreamSpec};
     pub use t2opt_core::mapping::{AddressMap, MapPolicy};

@@ -1,4 +1,4 @@
-//! Pluggable memory-controller queue policies.
+//! Memory-controller queue policies.
 //!
 //! Historically every controller channel served strictly FIFO, so a
 //! request's completion time was fixed the moment it was admitted and the
@@ -7,26 +7,25 @@
 //! disciplines such as read-over-write priority inexpressible: their
 //! service order depends on requests that arrive **later**.
 //!
-//! This module is the seam that removes the wall. A [`QueuePolicy`]
-//! inspects the controller's pending requests at an arbitration instant
-//! and picks the next one to service; the engine gives every controller
-//! its own `(next_tick, mc_id)` wake-ups in the event queue and calls the
-//! policy each time a service slot opens (see `engine.rs` and DESIGN.md
-//! §13).
+//! This module removes the wall. Under an arbitrated discipline the
+//! engine gives every controller its own `(next_tick, mc_id)` wake-ups in
+//! the event queue and, each time a service slot opens, calls
+//! [`read_first`] to pick the next request among those that have arrived
+//! (see `engine.rs` and DESIGN.md §13).
 //!
 //! FIFO remains the pinned default, and it is special: because its
 //! decision can never depend on later arrivals, the engine runs the
 //! shared service step at admission instead of from an arbitration event
-//! ([`PolicyKind::is_fifo`] is the one switch). Its `SimStats` and probe
-//! stream are held bitwise by `tests/policy_differential.rs`.
+//! ([`PolicyKind::is_fifo`] is the one switch), so it never picks from a
+//! queue at all. Its `SimStats` and probe stream are held bitwise by
+//! `tests/policy_differential.rs`.
 //!
 //! # Determinism contract
 //!
-//! Policies are stateless: [`QueuePolicy::select`] takes `&self`, so a
-//! pick is a function of the eligible requests alone — no clocks, no
-//! randomness, no global state, no memory of earlier picks. The engine
-//! builds one policy per run and shares it across every controller, and
-//! simulations stay bit-reproducible under every policy.
+//! [`read_first`] is a pure function: a pick depends on the eligible
+//! requests and the cap alone — no clocks, no randomness, no state, no
+//! memory of earlier picks — so simulations stay bit-reproducible under
+//! every policy.
 
 use serde::Serialize;
 
@@ -77,86 +76,31 @@ impl MemRequest {
     }
 }
 
-/// A memory-controller arbitration discipline.
+/// Read-over-write priority, the one arbitrated discipline: picks the
+/// index (into `eligible`) of the next request to service. Demand reads
+/// and RFOs (which threads wait on) bypass queued write-backs (which
+/// nothing waits on), oldest first within each class, until the oldest
+/// request has been bypassed `cap` times; then it goes first.
 ///
-/// The engine builds one policy per run, shared by every controller, and
-/// calls [`QueuePolicy::select`] whenever a controller's southbound
-/// channel is free and at least one admitted request has arrived. The
-/// selected request is then serviced, and the engine increments
-/// [`MemRequest::bypassed`] on every older request that was passed over.
-///
-/// A policy observes only the eligible slice (ages, classes, owners,
-/// bypass counts): no clock, no channel timelines, no other controllers,
-/// no thread state, and no state of its own.
-pub trait QueuePolicy {
-    /// Human-readable policy name (CLI/JSON label).
-    fn name(&self) -> &'static str;
-
-    /// Picks the index (into `eligible`) of the next request to service.
-    /// `eligible` is non-empty and holds only requests that have arrived.
-    fn select(&self, eligible: &[MemRequest]) -> usize;
-}
-
-/// Index of the oldest (minimum-id) request.
-fn oldest(eligible: &[MemRequest]) -> usize {
-    eligible
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, r)| r.id)
-        .map(|(i, _)| i)
-        .expect("select called with a non-empty eligible slice")
-}
-
-/// First-in first-out: the pinned default, service order = arrival order.
-#[derive(Debug, Default, Clone)]
-pub struct FifoPolicy;
-
-impl QueuePolicy for FifoPolicy {
-    fn name(&self) -> &'static str {
-        "fifo"
+/// `eligible` is non-empty and holds only requests that have arrived. The
+/// engine calls this whenever a controller's southbound channel is free,
+/// services the pick, and increments [`MemRequest::bypassed`] on every
+/// older request passed over.
+pub fn read_first(eligible: &[MemRequest], cap: u32) -> usize {
+    // Index of the oldest (minimum-id) request, of all or of the reads.
+    let oldest = |reads_only: bool| {
+        (0..eligible.len())
+            .filter(|&i| !reads_only || eligible[i].is_read())
+            .min_by_key(|&i| eligible[i].id)
+    };
+    let old = oldest(false).expect("read_first needs a non-empty eligible slice");
+    if eligible[old].bypassed >= cap {
+        return old;
     }
-
-    fn select(&self, eligible: &[MemRequest]) -> usize {
-        oldest(eligible)
-    }
+    oldest(true).unwrap_or(old)
 }
 
-/// Read-over-write priority: demand reads and RFOs (which threads wait on)
-/// bypass queued write-backs (which nothing waits on), FIFO within each
-/// class, bounded by the starvation cap.
-#[derive(Debug, Clone)]
-pub struct ReadOverWritePolicy {
-    cap: u32,
-}
-
-impl ReadOverWritePolicy {
-    /// A read-over-write policy with the given starvation cap.
-    pub fn new(cap: u32) -> Self {
-        ReadOverWritePolicy { cap }
-    }
-}
-
-impl QueuePolicy for ReadOverWritePolicy {
-    fn name(&self) -> &'static str {
-        "read-first"
-    }
-
-    fn select(&self, eligible: &[MemRequest]) -> usize {
-        let old = oldest(eligible);
-        if eligible[old].bypassed >= self.cap {
-            return old;
-        }
-        eligible
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_read())
-            .min_by_key(|(_, r)| r.id)
-            .map(|(i, _)| i)
-            .unwrap_or(old)
-    }
-}
-
-/// Configuration-level policy selector: which [`QueuePolicy`] the memory
+/// Configuration-level policy selector: which discipline the memory
 /// controllers run. Part of [`crate::config::ChipConfig`]; the default is
 /// [`PolicyKind::Fifo`], which preserves the pre-policy engine bitwise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
@@ -164,7 +108,8 @@ pub enum PolicyKind {
     /// Strict arrival order (the calibrated default).
     #[default]
     Fifo,
-    /// Reads (demand + RFO) over write-backs, with a starvation cap.
+    /// Reads (demand + RFO) over write-backs, with a starvation cap
+    /// ([`read_first`]).
     ReadFirst {
         /// Maximum times a write-back may be bypassed.
         starvation_cap: u32,
@@ -215,16 +160,6 @@ impl PolicyKind {
             _ => None,
         }
     }
-
-    /// Builds the policy; the engine builds one per run.
-    pub fn build(&self) -> Box<dyn QueuePolicy> {
-        match *self {
-            PolicyKind::Fifo => Box::new(FifoPolicy),
-            PolicyKind::ReadFirst { starvation_cap } => {
-                Box::new(ReadOverWritePolicy::new(starvation_cap))
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -243,28 +178,26 @@ mod tests {
     }
 
     #[test]
-    fn fifo_always_picks_the_oldest() {
-        let eligible = vec![
-            req(5, ReqClass::Writeback),
-            req(2, ReqClass::DemandRead),
-            req(9, ReqClass::StoreRfo),
-        ];
-        assert_eq!(FifoPolicy.select(&eligible), 1);
-    }
-
-    #[test]
     fn read_first_bypasses_writebacks_until_the_cap() {
-        let p = ReadOverWritePolicy::new(2);
         let mut eligible = vec![req(1, ReqClass::Writeback), req(2, ReqClass::DemandRead)];
         // The younger read goes first...
-        assert_eq!(p.select(&eligible), 1);
+        assert_eq!(read_first(&eligible, 2), 1);
         // ...until the write-back has been bypassed `cap` times.
         eligible[0].bypassed = 2;
-        assert_eq!(p.select(&eligible), 0);
+        assert_eq!(read_first(&eligible, 2), 0);
+        // Among reads, and with no read to prefer, the oldest goes first.
+        let eligible = vec![
+            req(5, ReqClass::Writeback),
+            req(4, ReqClass::StoreRfo),
+            req(2, ReqClass::Writeback),
+            req(3, ReqClass::DemandRead),
+        ];
+        assert_eq!(read_first(&eligible, 8), 3);
+        assert_eq!(read_first(&[req(7, ReqClass::Writeback)], 8), 0);
     }
 
     #[test]
-    fn kind_parses_and_builds() {
+    fn kind_parses() {
         assert_eq!(PolicyKind::parse("fifo"), Some(PolicyKind::Fifo));
         assert_eq!(
             PolicyKind::parse("read-first"),
@@ -293,7 +226,6 @@ mod tests {
             let kind = PolicyKind::parse(spelling).expect("accepted spelling");
             let name = spelling.split_once(':').map_or(spelling, |(n, _)| n);
             assert_eq!(kind.name(), name);
-            assert_eq!(kind.build().name(), name);
             let label = match kind.starvation_cap() {
                 Some(cap) => format!("{name}:{cap}"),
                 None => name.to_string(),

@@ -3,7 +3,7 @@
 //! and starvation bounds, over arbitrary arrival traces.
 
 use proptest::prelude::*;
-use t2opt_sim::policy::{MemRequest, PolicyKind, ReqClass};
+use t2opt_sim::policy::{read_first, MemRequest, PolicyKind, ReqClass};
 use t2opt_sim::prelude::*;
 use t2opt_telemetry::probe::SimProbe;
 
@@ -153,17 +153,14 @@ proptest! {
     }
 
     /// Starvation bound, policy level: replaying an arbitrary arrival/
-    /// service trace through the reordering policy (read-first) with the
-    /// engine's bypass accounting, no request is ever bypassed more than
-    /// `cap` times — the moment the oldest request hits the cap the policy
-    /// must select it.
+    /// service trace through [`read_first`] with the engine's bypass
+    /// accounting, no request is ever bypassed more than `cap` times — the
+    /// moment the oldest request hits the cap it must be selected.
     #[test]
     fn starvation_is_bounded_by_the_cap(
         trace in proptest::collection::vec((0u64..8, 0u32..3), 1..200),
         cap in 0u32..16,
     ) {
-        let kind = PolicyKind::ReadFirst { starvation_cap: cap };
-        let policy = kind.build();
         let mut pending: Vec<MemRequest> = Vec::new();
         let mut now = 0u64;
         for (i, &(gap, class)) in trace.iter().enumerate() {
@@ -183,7 +180,7 @@ proptest! {
             // Service one request per arrival step (queue pressure keeps
             // several pending, so reordering actually happens).
             if pending.len() >= 2 || gap > 4 {
-                let sel = policy.select(&pending);
+                let sel = read_first(&pending, cap);
                 prop_assert!(sel < pending.len(), "selection in range");
                 let req = pending.swap_remove(sel);
                 for p in pending.iter_mut() {
@@ -193,43 +190,17 @@ proptest! {
                 }
                 prop_assert!(
                     req.bypassed <= cap,
-                    "{}: serviced a request bypassed {} times (cap {cap})",
-                    kind.name(),
+                    "serviced a request bypassed {} times (cap {cap})",
                     req.bypassed
                 );
                 for p in &pending {
                     prop_assert!(
                         p.bypassed <= cap,
-                        "{}: left a request bypassed {} times (cap {cap})",
-                        kind.name(),
+                        "left a request bypassed {} times (cap {cap})",
                         p.bypassed
                     );
                 }
             }
         }
-    }
-
-    /// FIFO through the shared policy trait is order-exact: it always
-    /// selects the minimum id, regardless of class.
-    #[test]
-    fn fifo_policy_selects_strictly_by_age(
-        ids in proptest::collection::vec(0u64..10_000, 1..50),
-    ) {
-        let policy = PolicyKind::Fifo.build();
-        let pending: Vec<MemRequest> = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| MemRequest {
-                id: id * 64 + i as u64, // unique ids
-                arrival: 0,
-                class: if i % 2 == 0 { ReqClass::DemandRead } else { ReqClass::Writeback },
-                tid: None,
-                bank: None,
-                bypassed: 0,
-            })
-            .collect();
-        let sel = policy.select(&pending);
-        let min_id = pending.iter().map(|r| r.id).min().unwrap();
-        prop_assert_eq!(pending[sel].id, min_id);
     }
 }

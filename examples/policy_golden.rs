@@ -3,7 +3,7 @@
 //!
 //! * `fifo` (the default): `tests/golden/policy_fifo.json`, captured from
 //!   the **pre-refactor** engine (before memory-controller arbitration
-//!   events and `QueuePolicy` existed) and held to by
+//!   events and the policy seam existed) and held to by
 //!   `tests/policy_differential.rs`;
 //! * `engine-paths`: `tests/golden/engine_paths.json`, the read-first,
 //!   NUMA and event-queue-overflow cases, captured from the engine before

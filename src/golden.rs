@@ -1,7 +1,7 @@
 //! The differential-pinning matrices: FIFO, and the engine paths FIFO
 //! does not reach.
 //!
-//! The `QueuePolicy` refactor (DESIGN.md §13) moved memory-controller
+//! The queue-policy refactor (DESIGN.md §13) moved memory-controller
 //! service-time decisions out of the enqueue path and into an arbitration
 //! step, with the historical FIFO discipline as the pinned default. The
 //! contract is *bitwise* equality: under `PolicyKind::Fifo` every

@@ -60,7 +60,7 @@ pub use t2opt_telemetry as telemetry;
 pub mod prelude {
     pub use t2opt_autotune::prelude::*;
     pub use t2opt_core::prelude::*;
-    pub use t2opt_parallel::{Coalesce2, Coalesce3, Placement, Schedule, ThreadPool};
+    pub use t2opt_parallel::{Coalesce2, Placement, Schedule, ThreadPool};
     pub use t2opt_sim::prelude::*;
     pub use t2opt_telemetry::prelude::*;
 }

@@ -440,7 +440,7 @@ fn prelude_surface() {
     let pool = ThreadPool::new(2);
     let mut sum = 0.0f64;
     let total = std::sync::Mutex::new(&mut sum);
-    pool.parallel_for(0..100, Schedule::Guided(4), |_t, r| {
+    pool.parallel_for(0..100, Schedule::StaticChunk(4), |_t, r| {
         let mut guard = total.lock().unwrap();
         **guard += r.len() as f64;
     });

@@ -2,7 +2,7 @@
 //! **bitwise identical** to committed captures.
 //!
 //! * `tests/golden/policy_fifo.json` was captured from the engine *before*
-//!   controller arbitration events and `QueuePolicy` existed (DESIGN.md
+//!   controller arbitration events and the policy seam existed (DESIGN.md
 //!   §13). Its matrix — every single-socket chip preset × {aliased triad,
 //!   spread triad, write-heavy copy}, the traced/probe path, and the
 //!   stock-T2 Fig. 4 extremes — pins the default FIFO discipline.
