@@ -217,6 +217,71 @@ mod tests {
     }
 
     #[test]
+    fn keys_and_fingerprints_are_byte_stable() {
+        // Every `--cache` file and store directory is addressed by these
+        // digests of the JSON writer's output, so a change in the bytes it
+        // writes for a chip, a workload or a layout orphans every entry
+        // written before it. The literals were captured before the writer
+        // was last rewritten.
+        use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
+        use t2opt_core::mapping::PagePlacement;
+        use t2opt_kernels::lbm::LbmLayout;
+
+        let fingerprints: Vec<String> = PRESET_NAMES
+            .iter()
+            .map(|name| {
+                let spec = ChipSpec::preset(name).expect("registry names resolve");
+                ResultCache::chip_fingerprint(&ChipConfig::from_spec(&spec))
+            })
+            .collect();
+        assert_eq!(
+            fingerprints,
+            [
+                "4a43f835f548a684",
+                "abf9dad4378003f7",
+                "c04b9200499ef275",
+                "6501a83c123db868",
+                "7b9fc705826a495e",
+                "e3bc883ac2e0299b",
+            ]
+        );
+
+        let chip = ChipConfig::ultrasparc_t2();
+        let spec = LayoutSpec::new()
+            .base_align(8192)
+            .seg_align(512)
+            .shift(128)
+            .block_offset(64)
+            .placement(PagePlacement::Interleave);
+        let workloads = [
+            Workload::StreamMix {
+                reads: 2,
+                writes: 1,
+                n: 1 << 12,
+                threads: 16,
+                ntimes: 1,
+                warmup: false,
+            },
+            Workload::triad(1 << 20, 64),
+            Workload::jacobi_smoke(64, 8),
+            Workload::lbm_smoke(16, LbmLayout::IvJK, 32),
+        ];
+        let keys: Vec<String> = workloads
+            .iter()
+            .map(|w| ResultCache::key(w, &chip, &spec))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "e79e46565394dbe7",
+                "23c72e1c31dfd933",
+                "327c8b620da1c617",
+                "993aeaeea61ceae1",
+            ]
+        );
+    }
+
+    #[test]
     fn canonical_specs_share_a_key() {
         // seg_align 0 and 1 normalize to the same spec, so they must hit
         // the same cache line.

@@ -22,7 +22,7 @@
 use serde::Serialize;
 use t2opt_autotune::surrogate::{model_for_chip, validation_space, validation_workload};
 use t2opt_autotune::{SearchStrategy, Tuner};
-use t2opt_bench::{write_json, Args, Table};
+use t2opt_bench::{chip_preset, write_json, Args, Table};
 use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
 use t2opt_core::corr::spearman;
 use t2opt_core::layout::LayoutSpec;
@@ -113,17 +113,10 @@ fn main() {
         vec![args.get_str("chip").unwrap_or(PRESET_NAMES[0])]
     };
 
-    let mut chips: Vec<ChipValidation> = Vec::new();
-    for name in &chip_names {
-        let Some(spec) = ChipSpec::preset(name) else {
-            eprintln!(
-                "unknown chip preset {name:?}; available: {}",
-                PRESET_NAMES.join(", ")
-            );
-            std::process::exit(2);
-        };
-        chips.push(validate_chip(&spec));
-    }
+    let mut chips: Vec<ChipValidation> = chip_names
+        .iter()
+        .map(|name| validate_chip(&chip_preset(name)))
+        .collect();
 
     for v in &chips {
         let mut table = Table::new(vec![

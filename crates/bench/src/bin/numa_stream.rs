@@ -21,7 +21,7 @@
 
 use serde::Serialize;
 use t2opt_bench::experiments::chip_scatter;
-use t2opt_bench::{write_json, Args, Table};
+use t2opt_bench::{chip_preset, write_json, Args, Table};
 use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
 use t2opt_core::mapping::PagePlacement;
 use t2opt_kernels::stream::{self, StreamConfig, StreamKernel};
@@ -68,20 +68,14 @@ fn main() {
     let threads: usize = args.get("threads", if smoke { 16 } else { 32 });
 
     let chips: Vec<ChipSpec> = match args.get_str("chip") {
-        Some(name) => match ChipSpec::preset(name) {
-            Some(spec) if spec.sockets.is_numa() => vec![spec],
-            Some(_) => {
+        Some(name) => {
+            let spec = chip_preset(name);
+            if !spec.sockets.is_numa() {
                 eprintln!("chip preset {name:?} is single-socket; numa_stream needs a NUMA preset");
                 std::process::exit(2);
             }
-            None => {
-                eprintln!(
-                    "unknown chip preset {name:?}; available: {}",
-                    PRESET_NAMES.join(", ")
-                );
-                std::process::exit(2);
-            }
-        },
+            vec![spec]
+        }
         None => PRESET_NAMES
             .iter()
             .filter_map(|name| ChipSpec::preset(name))

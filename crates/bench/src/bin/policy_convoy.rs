@@ -30,7 +30,7 @@
 
 use serde::Serialize;
 use t2opt_bench::experiments::chip_scatter;
-use t2opt_bench::{write_json, Args, Table};
+use t2opt_bench::{chip_preset, write_json, Args, Table};
 use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
 use t2opt_kernels::triad::{self, TriadConfig, TriadLayout};
 use t2opt_sim::policy::PolicyKind;
@@ -46,6 +46,9 @@ struct ConvoyRow {
     /// "aliased" (all arrays congruent mod the interleave period) or
     /// "spread" (128 B relative offsets, one stream per controller).
     layout: String,
+    /// Simulated threads: `--threads` clamped to the preset's hardware
+    /// threads.
+    threads: usize,
     /// Measured-window cycles.
     cycles: u64,
     /// Reported bandwidth at 32 B/element, GB/s.
@@ -77,7 +80,6 @@ struct ConvoySummary {
 #[derive(Serialize)]
 struct ConvoyOutput {
     n: usize,
-    threads: usize,
     rows: Vec<ConvoyRow>,
     summary: Vec<ConvoySummary>,
 }
@@ -107,25 +109,16 @@ fn main() {
     // Footprint must dwarf the presets' L2 (4 arrays x 8 B x n), or the
     // measured sweep runs from cache and every policy looks identical.
     let n: usize = args.get("n", if smoke { 1 << 18 } else { 1 << 19 });
-    let chips: Vec<String> = match args.get_str("chip") {
-        Some(name) => {
-            assert!(
-                ChipSpec::preset(name).is_some(),
-                "unknown chip preset {name:?}; available: {}",
-                PRESET_NAMES.join(", ")
-            );
-            vec![name.to_string()]
-        }
-        None => PRESET_NAMES.iter().map(|s| s.to_string()).collect(),
+    let threads: usize = args.get("threads", if smoke { 16 } else { 32 });
+    let chips: Vec<ChipSpec> = match args.get_str("chip") {
+        Some(name) => vec![chip_preset(name)],
+        None => PRESET_NAMES.iter().map(|name| chip_preset(name)).collect(),
     };
 
     let mut rows: Vec<ConvoyRow> = Vec::new();
-    for chip_name in &chips {
-        let spec = ChipSpec::preset(chip_name).expect("preset resolves");
-        let base = ChipConfig::from_spec(&spec);
-        let threads = args
-            .get("threads", if smoke { 16 } else { 32 })
-            .min(base.max_threads());
+    for spec in &chips {
+        let base = ChipConfig::from_spec(spec);
+        let threads = threads.min(base.max_threads());
         // Aliased: every array base congruent mod the interleave period —
         // the Fig. 4 "align 8k" floor. Spread: 128 B relative offsets, the
         // Fig. 4 ceiling (each stream maps to its own controller on the
@@ -146,9 +139,10 @@ fn main() {
                 };
                 let res = triad::run_sim(&cfg, &chip, &chip_scatter(&chip));
                 rows.push(ConvoyRow {
-                    chip: chip_name.clone(),
+                    chip: spec.name.clone(),
                     policy: policy_label(kind),
                     layout: label.to_string(),
+                    threads,
                     cycles: res.stats.cycles(),
                     gbs: res.gbs,
                     mc_balance: res.stats.mc_balance(),
@@ -188,15 +182,15 @@ fn main() {
     };
     let fifo_label = policy_label(PolicyKind::Fifo);
     let mut summary = Vec::new();
-    for chip_name in &chips {
+    for spec in &chips {
         for kind in policy_matrix() {
             let label = policy_label(kind);
-            let aliased = cell(chip_name, &label, "aliased");
-            let spread = cell(chip_name, &label, "spread");
-            let fifo_aliased = cell(chip_name, &fifo_label, "aliased");
-            let fifo_spread = cell(chip_name, &fifo_label, "spread");
+            let aliased = cell(&spec.name, &label, "aliased");
+            let spread = cell(&spec.name, &label, "spread");
+            let fifo_aliased = cell(&spec.name, &fifo_label, "aliased");
+            let fifo_spread = cell(&spec.name, &fifo_label, "spread");
             summary.push(ConvoySummary {
-                chip: chip_name.clone(),
+                chip: spec.name.clone(),
                 policy: label,
                 collapse_ratio: spread.gbs / aliased.gbs,
                 aliased_speedup_vs_fifo: aliased.gbs / fifo_aliased.gbs,
@@ -224,14 +218,8 @@ fn main() {
     }
     stable.print();
 
-    let threads = args.get("threads", if smoke { 16 } else { 32 });
     if let Some(path) = args.get_str("json") {
-        let out = ConvoyOutput {
-            n,
-            threads,
-            rows,
-            summary,
-        };
+        let out = ConvoyOutput { n, rows, summary };
         write_json(path, &out).expect("failed to write JSON");
         eprintln!("wrote {path}");
     }

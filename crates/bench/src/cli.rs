@@ -2,7 +2,8 @@
 //! binaries.
 //!
 //! Supports `--key value` pairs and bare `--flag` switches. Unknown keys
-//! are collected so binaries can reject typos.
+//! and flags are ignored, not rejected: a misspelled flag (or `--help`)
+//! runs the binary with its defaults.
 
 use std::collections::BTreeMap;
 

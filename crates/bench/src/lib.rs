@@ -86,24 +86,24 @@ pub fn list_chips() -> ! {
     std::process::exit(0);
 }
 
+/// The chip preset `name`. An unknown name exits with status 2 and the
+/// registry listing (user error, not a panic).
+pub fn chip_preset(name: &str) -> ChipSpec {
+    ChipSpec::preset(name).unwrap_or_else(|| {
+        eprintln!(
+            "unknown chip preset {name:?}; available: {}",
+            PRESET_NAMES.join(", ")
+        );
+        std::process::exit(2);
+    })
+}
+
 /// Resolves the `--chip <preset>` and `--policy <name>` flags into a chip
 /// spec and its simulator configuration. Defaults to `ultrasparc-t2` with
-/// FIFO controllers; an unknown preset exits with the registry listing
-/// (user error, not a panic).
+/// FIFO controllers; an unknown preset exits as [`chip_preset`] does.
 pub fn chip_from_args(args: &Args) -> (ChipSpec, ChipConfig) {
-    let name = args.get_str("chip").unwrap_or(PRESET_NAMES[0]);
-    match ChipSpec::preset(name) {
-        Some(spec) => {
-            let mut config = ChipConfig::from_spec(&spec);
-            config.policy = policy_from_args(args);
-            (spec, config)
-        }
-        None => {
-            eprintln!(
-                "unknown chip preset {name:?}; available: {}",
-                PRESET_NAMES.join(", ")
-            );
-            std::process::exit(2);
-        }
-    }
+    let spec = chip_preset(args.get_str("chip").unwrap_or(PRESET_NAMES[0]));
+    let mut config = ChipConfig::from_spec(&spec);
+    config.policy = policy_from_args(args);
+    (spec, config)
 }

@@ -63,9 +63,9 @@ impl Table {
     }
 }
 
-/// JSON output (serializer + error type) now lives in
-/// [`t2opt_core::json`] so that other crates (e.g. `t2opt-autotune`'s
-/// result cache) can share it; re-exported here for the figure binaries.
+/// JSON output (writer + parser error type) lives in [`t2opt_core::json`]
+/// so that other crates (e.g. `t2opt-autotune`'s result cache) can share
+/// it; re-exported here for the figure binaries.
 pub use t2opt_core::json::{to_json_string, write_json, JsonErr};
 
 #[cfg(test)]

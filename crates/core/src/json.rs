@@ -1,38 +1,28 @@
-//! Minimal JSON support shared by the workspace: serialization of any
-//! `serde::Serialize` type via serde's data model, and a small
-//! recursive-descent parser into [`JsonValue`] for reading results back
-//! (e.g. the autotuner's persistent result cache).
+//! Minimal JSON support shared by the workspace: compact JSON output for
+//! any `serde::Serialize` type, and a small recursive-descent parser into
+//! [`JsonValue`] for reading results back (e.g. the autotuner's persistent
+//! result cache).
 //!
-//! This avoids a `serde_json` dependency: only the constructs our results
-//! use — objects, arrays, strings, numbers, bools, null — are supported.
+//! This avoids a `serde_json` dependency: the vendored `serde::Serialize`
+//! writes JSON itself, and the parser reads only the constructs our results
+//! use — objects, arrays, strings, numbers, bools, null.
 
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::io::Write;
 
 /// Serializes `data` as JSON into `path`.
 pub fn write_json<T: Serialize>(path: &str, data: &T) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    let json = to_json_string(data);
-    file.write_all(json.as_bytes())
+    std::fs::write(path, to_json_string(data))
 }
 
 /// Serializes `data` to a compact JSON string.
-///
-/// # Panics
-/// Panics if the type reports a serialization error (none of the workspace
-/// result types do).
 pub fn to_json_string<T: Serialize>(data: &T) -> String {
-    let mut ser = MiniJson { out: String::new() };
-    data.serialize(&mut ser).expect("JSON serialization failed");
-    ser.out
+    let mut out = String::new();
+    data.serialize(&mut out);
+    out
 }
 
-struct MiniJson {
-    out: String,
-}
-
-/// Error type of the minimal JSON serializer.
+/// Error of the JSON parser.
 #[derive(Debug)]
 pub struct JsonErr(String);
 
@@ -42,341 +32,6 @@ impl std::fmt::Display for JsonErr {
     }
 }
 impl std::error::Error for JsonErr {}
-impl serde::ser::Error for JsonErr {
-    fn custom<T: std::fmt::Display>(msg: T) -> Self {
-        JsonErr(msg.to_string())
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-macro_rules! simple_num {
-    ($($fn_name:ident: $ty:ty),* $(,)?) => {
-        $(fn $fn_name(self, v: $ty) -> Result<(), JsonErr> {
-            self.out.push_str(&v.to_string());
-            Ok(())
-        })*
-    };
-}
-
-impl<'a> serde::Serializer for &'a mut MiniJson {
-    type Ok = ();
-    type Error = JsonErr;
-    type SerializeSeq = SeqSer<'a>;
-    type SerializeTuple = SeqSer<'a>;
-    type SerializeTupleStruct = SeqSer<'a>;
-    type SerializeTupleVariant = SeqSer<'a>;
-    type SerializeMap = MapSer<'a>;
-    type SerializeStruct = MapSer<'a>;
-    type SerializeStructVariant = MapSer<'a>;
-
-    simple_num! {
-        serialize_i8: i8, serialize_i16: i16, serialize_i32: i32, serialize_i64: i64,
-        serialize_u8: u8, serialize_u16: u16, serialize_u32: u32, serialize_u64: u64,
-    }
-
-    fn serialize_bool(self, v: bool) -> Result<(), JsonErr> {
-        self.out.push_str(if v { "true" } else { "false" });
-        Ok(())
-    }
-
-    fn serialize_f32(self, v: f32) -> Result<(), JsonErr> {
-        self.serialize_f64(v as f64)
-    }
-
-    fn serialize_f64(self, v: f64) -> Result<(), JsonErr> {
-        if v.is_finite() {
-            self.out.push_str(&format!("{v}"));
-        } else {
-            self.out.push_str("null");
-        }
-        Ok(())
-    }
-
-    fn serialize_char(self, v: char) -> Result<(), JsonErr> {
-        self.out.push_str(&escape(&v.to_string()));
-        Ok(())
-    }
-
-    fn serialize_str(self, v: &str) -> Result<(), JsonErr> {
-        self.out.push_str(&escape(v));
-        Ok(())
-    }
-
-    fn serialize_bytes(self, v: &[u8]) -> Result<(), JsonErr> {
-        use serde::ser::SerializeSeq;
-        let mut seq = self.serialize_seq(Some(v.len()))?;
-        for b in v {
-            seq.serialize_element(b)?;
-        }
-        seq.end()
-    }
-
-    fn serialize_none(self) -> Result<(), JsonErr> {
-        self.out.push_str("null");
-        Ok(())
-    }
-
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), JsonErr> {
-        value.serialize(self)
-    }
-
-    fn serialize_unit(self) -> Result<(), JsonErr> {
-        self.out.push_str("null");
-        Ok(())
-    }
-
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), JsonErr> {
-        self.serialize_unit()
-    }
-
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-    ) -> Result<(), JsonErr> {
-        self.serialize_str(variant)
-    }
-
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<(), JsonErr> {
-        value.serialize(self)
-    }
-
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-        value: &T,
-    ) -> Result<(), JsonErr> {
-        self.out.push('{');
-        self.out.push_str(&escape(variant));
-        self.out.push(':');
-        value.serialize(&mut *self)?;
-        self.out.push('}');
-        Ok(())
-    }
-
-    fn serialize_seq(self, _len: Option<usize>) -> Result<SeqSer<'a>, JsonErr> {
-        self.out.push('[');
-        Ok(SeqSer {
-            ser: self,
-            first: true,
-        })
-    }
-
-    fn serialize_tuple(self, len: usize) -> Result<SeqSer<'a>, JsonErr> {
-        self.serialize_seq(Some(len))
-    }
-
-    fn serialize_tuple_struct(
-        self,
-        _name: &'static str,
-        len: usize,
-    ) -> Result<SeqSer<'a>, JsonErr> {
-        self.serialize_seq(Some(len))
-    }
-
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-        len: usize,
-    ) -> Result<SeqSer<'a>, JsonErr> {
-        self.out.push('{');
-        self.out.push_str(&escape(variant));
-        self.out.push(':');
-        self.serialize_seq(Some(len))
-    }
-
-    fn serialize_map(self, _len: Option<usize>) -> Result<MapSer<'a>, JsonErr> {
-        self.out.push('{');
-        Ok(MapSer {
-            ser: self,
-            first: true,
-            close_extra: false,
-        })
-    }
-
-    fn serialize_struct(self, _name: &'static str, len: usize) -> Result<MapSer<'a>, JsonErr> {
-        self.serialize_map(Some(len))
-    }
-
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-        len: usize,
-    ) -> Result<MapSer<'a>, JsonErr> {
-        self.out.push('{');
-        self.out.push_str(&escape(variant));
-        self.out.push(':');
-        let mut m = self.serialize_map(Some(len))?;
-        m.close_extra = true;
-        Ok(m)
-    }
-}
-
-/// Sequence serializer.
-pub struct SeqSer<'a> {
-    ser: &'a mut MiniJson,
-    first: bool,
-}
-
-impl SeqSer<'_> {
-    fn sep(&mut self) {
-        if !self.first {
-            self.ser.out.push(',');
-        }
-        self.first = false;
-    }
-}
-
-impl serde::ser::SerializeSeq for SeqSer<'_> {
-    type Ok = ();
-    type Error = JsonErr;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), JsonErr> {
-        self.sep();
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<(), JsonErr> {
-        self.ser.out.push(']');
-        Ok(())
-    }
-}
-
-impl serde::ser::SerializeTuple for SeqSer<'_> {
-    type Ok = ();
-    type Error = JsonErr;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), JsonErr> {
-        serde::ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), JsonErr> {
-        serde::ser::SerializeSeq::end(self)
-    }
-}
-
-impl serde::ser::SerializeTupleStruct for SeqSer<'_> {
-    type Ok = ();
-    type Error = JsonErr;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), JsonErr> {
-        serde::ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), JsonErr> {
-        serde::ser::SerializeSeq::end(self)
-    }
-}
-
-impl serde::ser::SerializeTupleVariant for SeqSer<'_> {
-    type Ok = ();
-    type Error = JsonErr;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), JsonErr> {
-        serde::ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), JsonErr> {
-        self.ser.out.push_str("]}");
-        Ok(())
-    }
-}
-
-/// Map/struct serializer.
-pub struct MapSer<'a> {
-    ser: &'a mut MiniJson,
-    first: bool,
-    close_extra: bool,
-}
-
-impl MapSer<'_> {
-    fn sep(&mut self) {
-        if !self.first {
-            self.ser.out.push(',');
-        }
-        self.first = false;
-    }
-}
-
-impl serde::ser::SerializeMap for MapSer<'_> {
-    type Ok = ();
-    type Error = JsonErr;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), JsonErr> {
-        self.sep();
-        // Keys must serialize as strings; serialize into a scratch buffer
-        // and quote if the result isn't already a string.
-        let mut scratch = MiniJson { out: String::new() };
-        key.serialize(&mut scratch)?;
-        if scratch.out.starts_with('"') {
-            self.ser.out.push_str(&scratch.out);
-        } else {
-            self.ser.out.push_str(&escape(&scratch.out));
-        }
-        Ok(())
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), JsonErr> {
-        self.ser.out.push(':');
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<(), JsonErr> {
-        self.ser.out.push('}');
-        if self.close_extra {
-            self.ser.out.push('}');
-        }
-        Ok(())
-    }
-}
-
-impl serde::ser::SerializeStruct for MapSer<'_> {
-    type Ok = ();
-    type Error = JsonErr;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), JsonErr> {
-        serde::ser::SerializeMap::serialize_key(self, key)?;
-        serde::ser::SerializeMap::serialize_value(self, value)
-    }
-    fn end(self) -> Result<(), JsonErr> {
-        serde::ser::SerializeMap::end(self)
-    }
-}
-
-impl serde::ser::SerializeStructVariant for MapSer<'_> {
-    type Ok = ();
-    type Error = JsonErr;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), JsonErr> {
-        serde::ser::SerializeStruct::serialize_field(self, key, value)
-    }
-    fn end(self) -> Result<(), JsonErr> {
-        serde::ser::SerializeStruct::end(self)
-    }
-}
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -709,6 +364,41 @@ mod tests {
         m.insert("a", vec![1u32, 2]);
         m.insert("b", vec![]);
         assert_eq!(to_json_string(&m), r#"{"a":[1,2],"b":[]}"#);
+    }
+
+    #[test]
+    fn json_shapes_keep_their_bytes() {
+        // One case per shape the writer keeps; the expected bytes were
+        // captured before the writer was last rewritten.
+        #[derive(Serialize)]
+        enum Sched {
+            StaticChunk(usize),
+        }
+        let ints = BTreeMap::from([(7u32, "a"), (10, "b")]);
+        let cases = [
+            (
+                to_json_string(&Sched::StaticChunk(4)),
+                r#"{"StaticChunk":4}"#,
+            ),
+            (to_json_string(&Some(Some(3u32))), "3"),
+            (to_json_string(&Some(None::<u32>)), "null"),
+            (to_json_string(&None::<Option<u32>>), "null"),
+            (to_json_string(&("ab", 5usize)), r#"["ab",5]"#),
+            (to_json_string(&(1u64, -2.5f64, true)), "[1,-2.5,true]"),
+            (to_json_string(&[1u32, 2, 3]), "[1,2,3]"),
+            (to_json_string(&ints), r#"{"7":"a","10":"b"}"#),
+            (
+                to_json_string(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]),
+                "[null,null,null]",
+            ),
+            (
+                to_json_string(&"q\"b\\n\nt\tr\r\u{1}"),
+                r#""q\"b\\n\nt\tr\r\u0001""#,
+            ),
+        ];
+        for (got, want) in cases {
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

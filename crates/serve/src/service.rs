@@ -899,6 +899,17 @@ mod tests {
     }
 
     #[test]
+    fn query_keys_are_byte_stable() {
+        // Store entries written by earlier daemons are found again only if
+        // the JSON of `(fingerprint, workload)` keeps its bytes. The literal
+        // was captured before the JSON writer was last rewritten.
+        let chip = ChipConfig::from_spec(&ChipSpec::preset("2s-numa").unwrap());
+        let fingerprint = ResultCache::chip_fingerprint(&chip);
+        let workload = resolve_workload("lbm-ivjk", 32).unwrap();
+        assert_eq!(query_key(&fingerprint, &workload), "d48c67b75ac8b80d");
+    }
+
+    #[test]
     fn metrics_json_is_parseable_and_counts_tiers() {
         let svc = service();
         svc.advise(r#"{"workload":"triad"}"#);

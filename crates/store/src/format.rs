@@ -200,7 +200,14 @@ mod tests {
         entries.insert("bb".to_string(), entry(2.5, Some(meta("triad"))));
         let text = snapshot_to_string(&entries);
         // The legacy ResultCache layout: version, entries map, meta map.
-        assert!(text.starts_with(r#"{"version":2,"entries":{"aa":1.25,"bb":2.5},"meta":{"bb":"#));
+        assert_eq!(
+            text,
+            concat!(
+                r#"{"version":2,"entries":{"aa":1.25,"bb":2.5},"meta":{"bb":{"tag":"triad","#,
+                r#""chip":"cafe","spec":{"base_align":8192,"seg_align":1,"shift":128,"#,
+                r#""block_offset":0,"placement":"FirstTouch"}}}}"#
+            )
+        );
         let back = parse_snapshot(&text).unwrap();
         assert_eq!(back, entries);
     }
@@ -211,6 +218,20 @@ mod tests {
         assert!(parse_snapshot(r#"{"version":99,"entries":{}}"#).is_err());
         assert!(parse_snapshot("{not json").is_err());
         assert!(parse_snapshot(r#"{"version":2}"#).is_err());
+    }
+
+    #[test]
+    fn log_line_with_meta_matches_legacy_bytes() {
+        let mut m = meta("lbm_IvJK");
+        m.spec = m.spec.block_offset(64).placement(PagePlacement::Remote);
+        assert_eq!(
+            log_line("89ab", &entry(0.1, Some(m))),
+            concat!(
+                r#"{"key":"89ab","gbs":0.1,"meta":{"tag":"lbm_IvJK","chip":"cafe","#,
+                r#""spec":{"base_align":8192,"seg_align":1,"shift":128,"block_offset":64,"#,
+                r#""placement":"Remote"}}}"#
+            )
+        );
     }
 
     #[test]

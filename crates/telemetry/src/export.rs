@@ -2,10 +2,11 @@
 //! text exposition, and a terminal ASCII heatmap.
 //!
 //! All JSON is produced through `t2opt_core::json` (the workspace's
-//! dependency-free serializer). The Chrome-trace envelope
+//! dependency-free JSON writer). The Chrome-trace envelope
 //! (`{"traceEvents": [...]}`) is assembled by hand around
-//! serde-serialized event objects because the vendored derive supports
-//! plain structs only.
+//! serde-serialized event objects because the events have different
+//! shapes, and the vendored derive writes an enum variant tagged
+//! (`{"V":…}`), where Chrome traces expect bare objects.
 
 use crate::metrics::HistogramSnapshot;
 use crate::timeline::Timeline;
