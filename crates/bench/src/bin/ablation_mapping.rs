@@ -19,7 +19,7 @@ use t2opt_parallel::Placement;
 use t2opt_sim::ChipConfig;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["json", "n", "threads"], &[]);
     let n: usize = args.get("n", 1 << 21);
     let threads: usize = args.get("threads", 64);
 

@@ -17,7 +17,7 @@ use t2opt_parallel::Placement;
 use t2opt_sim::ChipConfig;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["json", "n"], &[]);
     let n: usize = args.get("n", 1 << 21);
 
     #[derive(serde::Serialize)]

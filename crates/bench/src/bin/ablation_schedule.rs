@@ -18,7 +18,7 @@ use t2opt_parallel::{Placement, Schedule};
 use t2opt_sim::ChipConfig;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["json", "n", "threads"], &[]);
     let threads: usize = args.get("threads", 64);
     let ns = args.get_list::<usize>("n", &[512, 1024, 1536, 2000]);
     let chip = ChipConfig::ultrasparc_t2();

@@ -71,7 +71,23 @@ struct AutotuneOutput {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(
+        &[
+            "cache",
+            "chip",
+            "json",
+            "n",
+            "policy",
+            "reads",
+            "step",
+            "strategy",
+            "telemetry",
+            "threads",
+            "workload",
+            "writes",
+        ],
+        &["grid", "list-chips", "smoke"],
+    );
     if args.has_flag("list-chips") {
         t2opt_bench::list_chips();
     }

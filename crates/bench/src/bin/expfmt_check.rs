@@ -16,7 +16,7 @@ use t2opt_bench::expfmt::{check_chrome_trace, check_prometheus};
 use t2opt_bench::Args;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["file", "require"], &["chrome-trace"]);
     let input = match args.get_str("file") {
         Some(path) => std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}"))),

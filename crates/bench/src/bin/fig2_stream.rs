@@ -52,7 +52,22 @@ struct Fig2Output {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(
+        &[
+            "chip",
+            "interval",
+            "json",
+            "kernel",
+            "max-offset",
+            "n",
+            "policy",
+            "step",
+            "telemetry",
+            "telemetry-offset",
+            "threads",
+        ],
+        &["compare-threads", "full", "list-chips"],
+    );
     if args.has_flag("list-chips") {
         t2opt_bench::list_chips();
     }

@@ -21,7 +21,7 @@ use t2opt_kernels::triad::TriadLayout;
 use t2opt_sim::ChipConfig;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["hi", "json", "lo", "step", "threads"], &["full"]);
     let full = args.has_flag("full");
     // The aliasing pattern depends on N·8 mod 512, so any window of ≥ 64
     // consecutive N shows the full period; the paper's window starts at

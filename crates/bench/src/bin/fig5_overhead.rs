@@ -135,7 +135,7 @@ fn iteration_styles(ntimes: usize) {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["json", "ntimes", "threads"], &["sim"]);
     let threads: usize = args.get(
         "threads",
         std::thread::available_parallelism()

@@ -20,7 +20,7 @@ use t2opt_bench::{write_json, Args, Table};
 use t2opt_sim::ChipConfig;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["hi", "json", "lo", "step", "threads"], &["full"]);
     let full = args.has_flag("full");
     let lo: usize = args.get("lo", 128);
     let hi: usize = args.get("hi", if full { 2000 } else { 1088 });

@@ -23,7 +23,7 @@ use t2opt_kernels::lbm::LbmLayout;
 use t2opt_sim::ChipConfig;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["hi", "json", "lo", "precision", "step"], &["full"]);
     let full = args.has_flag("full");
     let lo: usize = args.get("lo", 64);
     let hi: usize = args.get("hi", if full { 320 } else { 160 });

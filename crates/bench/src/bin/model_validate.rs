@@ -99,7 +99,7 @@ fn validate_chip(spec: &ChipSpec) -> ChipValidation {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["check", "chip", "json"], &["all"]);
     let threshold: Option<f64> = args.get_str("check").map(|raw| {
         raw.parse().unwrap_or_else(|e| {
             eprintln!("error: --check {raw}: {e}");

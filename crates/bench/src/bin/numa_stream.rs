@@ -57,7 +57,7 @@ struct NumaOutput {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["chip", "json", "n", "threads"], &["list-chips", "smoke"]);
     if args.has_flag("list-chips") {
         t2opt_bench::list_chips();
     }

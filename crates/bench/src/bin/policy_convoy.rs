@@ -104,7 +104,7 @@ fn policy_label(kind: PolicyKind) -> String {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["chip", "json", "n", "threads"], &["smoke"]);
     let smoke = args.has_flag("smoke");
     // Footprint must dwarf the presets' L2 (4 arrays x 8 B x n), or the
     // measured sweep runs from cache and every policy looks identical.

@@ -115,7 +115,20 @@ fn metrics_field(body: &str, section: &str, field: &str) -> f64 {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(
+        &[
+            "addr",
+            "clients",
+            "json",
+            "queue-cap",
+            "refiners",
+            "requests",
+            "settle-timeout",
+            "threads",
+            "xcheck-requests",
+        ],
+        &["no-trace", "quick"],
+    );
     let quick = args.has_flag("quick");
     let clients: usize = args.get("clients", 8);
     let total_requests: usize = args

@@ -1,9 +1,11 @@
 //! A tiny dependency-free command-line flag parser for the figure
 //! binaries.
 //!
-//! Supports `--key value` pairs and bare `--flag` switches. Unknown keys
-//! and flags are ignored, not rejected: a misspelled flag (or `--help`)
-//! runs the binary with its defaults.
+//! A binary declares the `--key value` options and bare `--flag` switches
+//! it reads, and [`Args::from_env`] refuses every other name before any
+//! work starts: an unknown or misspelled name exits with status 2 and the
+//! accepted list, and `--help` prints the list and exits 0. Reading a name
+//! the binary did not declare is a bug in the binary and panics.
 
 use std::collections::BTreeMap;
 
@@ -12,37 +14,70 @@ use std::collections::BTreeMap;
 pub struct Args {
     values: BTreeMap<String, String>,
     flags: Vec<String>,
+    declared_keys: &'static [&'static str],
+    declared_flags: &'static [&'static str],
+}
+
+/// Why [`Args::parse`] returned no arguments to run with.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Refusal {
+    /// `--help` was passed.
+    Help,
+    /// The command line names an option the binary does not accept, or
+    /// is malformed.
+    Bad(String),
 }
 
 impl Args {
-    /// Parses from an iterator of raw arguments (without the program name).
-    pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Self, String> {
-        let mut args = Args::default();
+    /// Parses `raw` (without the program name) for a binary that reads the
+    /// `--key value` options `keys` and the bare `--flag` switches `flags`.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        raw: I,
+        keys: &'static [&'static str],
+        flags: &'static [&'static str],
+    ) -> Result<Self, Refusal> {
+        let mut args = Args {
+            declared_keys: keys,
+            declared_flags: flags,
+            ..Args::default()
+        };
         let mut it = raw.into_iter().peekable();
         while let Some(tok) = it.next() {
-            let Some(key) = tok.strip_prefix("--") else {
-                return Err(format!("unexpected positional argument: {tok}"));
+            let Some(name) = tok.strip_prefix("--") else {
+                return Err(Refusal::Bad(format!(
+                    "unexpected positional argument: {tok}"
+                )));
             };
-            if key.is_empty() {
-                return Err("empty flag name".into());
+            if name == "help" {
+                return Err(Refusal::Help);
             }
-            match it.peek() {
-                Some(next) if !next.starts_with("--") => {
-                    let value = it.next().unwrap();
-                    args.values.insert(key.to_string(), value);
-                }
-                _ => args.flags.push(key.to_string()),
+            if flags.contains(&name) {
+                args.flags.push(name.to_string());
+            } else if keys.contains(&name) {
+                match it.next_if(|next| !next.starts_with("--")) {
+                    Some(value) => args.values.insert(name.to_string(), value),
+                    None => return Err(Refusal::Bad(format!("--{name} needs a value"))),
+                };
+            } else {
+                return Err(Refusal::Bad(format!("unknown option --{name}")));
             }
         }
         Ok(args)
     }
 
-    /// Parses the process arguments, exiting with a message on error.
-    pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
+    /// Parses the process arguments for a binary that reads `keys` and
+    /// `flags` (see [`Args::parse`]). `--help` prints the accepted options
+    /// and exits 0; anything else refused exits 2 with the message and the
+    /// same list.
+    pub fn from_env(keys: &'static [&'static str], flags: &'static [&'static str]) -> Self {
+        match Self::parse(std::env::args().skip(1), keys, flags) {
             Ok(a) => a,
-            Err(e) => {
-                eprintln!("error: {e}");
+            Err(Refusal::Help) => {
+                println!("{}", usage(keys, flags));
+                std::process::exit(0);
+            }
+            Err(Refusal::Bad(e)) => {
+                eprintln!("error: {e}; {}", usage(keys, flags));
                 std::process::exit(2);
             }
         }
@@ -53,7 +88,7 @@ impl Args {
     where
         T::Err: std::fmt::Display,
     {
-        match self.values.get(key) {
+        match self.get_str(key) {
             None => default,
             Some(raw) => match raw.parse() {
                 Ok(v) => v,
@@ -67,11 +102,19 @@ impl Args {
 
     /// The raw string value of `--key`, if present.
     pub fn get_str(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(|s| s.as_str())
+        assert!(
+            self.declared_keys.contains(&key),
+            "--{key} is read but not declared"
+        );
+        self.values.get(key).map(String::as_str)
     }
 
     /// Whether a bare `--flag` was passed.
     pub fn has_flag(&self, key: &str) -> bool {
+        assert!(
+            self.declared_flags.contains(&key),
+            "--{key} is read but not declared"
+        );
         self.flags.iter().any(|f| f == key)
     }
 
@@ -82,7 +125,7 @@ impl Args {
         T: std::str::FromStr + Clone,
         T::Err: std::fmt::Display,
     {
-        match self.values.get(key) {
+        match self.get_str(key) {
             None => default.to_vec(),
             Some(raw) => raw
                 .split(',')
@@ -98,12 +141,30 @@ impl Args {
     }
 }
 
+/// The one-line list of accepted options that `--help` and a refusal print.
+fn usage(keys: &[&str], flags: &[&str]) -> String {
+    let options: Vec<String> = keys
+        .iter()
+        .map(|k| format!("--{k} <value>"))
+        .chain(flags.iter().map(|f| format!("--{f}")))
+        .chain(["--help".to_string()])
+        .collect();
+    format!("accepted: {}", options.join(", "))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const KEYS: &[&str] = &["n", "out", "threads"];
+    const FLAGS: &[&str] = &["quick", "slow"];
+
+    fn try_parse(tokens: &[&str]) -> Result<Args, Refusal> {
+        Args::parse(tokens.iter().map(|s| s.to_string()), KEYS, FLAGS)
+    }
+
     fn parse(tokens: &[&str]) -> Args {
-        Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
+        try_parse(tokens).unwrap()
     }
 
     #[test]
@@ -130,6 +191,44 @@ mod tests {
 
     #[test]
     fn positional_rejected() {
-        assert!(Args::parse(vec!["oops".to_string()]).is_err());
+        assert!(matches!(try_parse(&["oops"]), Err(Refusal::Bad(_))));
+        assert!(matches!(try_parse(&["--quick", "1"]), Err(Refusal::Bad(_))));
+    }
+
+    #[test]
+    fn unknown_option_is_refused_by_name() {
+        let Err(Refusal::Bad(msg)) = try_parse(&["--n", "4096", "--threds", "8"]) else {
+            panic!("a misspelled key must be refused");
+        };
+        assert!(msg.contains("--threds"), "{msg}");
+        assert!(matches!(try_parse(&["--fast"]), Err(Refusal::Bad(_))));
+        let listing = usage(KEYS, FLAGS);
+        for option in ["--n <value>", "--threads <value>", "--quick", "--help"] {
+            assert!(listing.contains(option), "{listing}");
+        }
+    }
+
+    #[test]
+    fn help_is_its_own_answer() {
+        assert_eq!(try_parse(&["--help"]).unwrap_err(), Refusal::Help);
+        assert_eq!(
+            try_parse(&["--n", "8", "--help"]).unwrap_err(),
+            Refusal::Help
+        );
+    }
+
+    #[test]
+    fn a_key_needs_its_value() {
+        assert!(matches!(try_parse(&["--n"]), Err(Refusal::Bad(_))));
+        assert!(matches!(
+            try_parse(&["--n", "--quick"]),
+            Err(Refusal::Bad(_))
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "--chip is read but not declared")]
+    fn reading_an_undeclared_key_is_a_bug() {
+        parse(&[]).get_str("chip");
     }
 }

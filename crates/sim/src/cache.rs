@@ -10,14 +10,6 @@
 
 use crate::config::L2Config;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    stamp: u64,
-}
-
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Access {
@@ -32,34 +24,63 @@ pub enum Access {
 }
 
 /// The L2 content model.
+///
+/// A flat tag store: one set's ways sit side by side in `tags` and `meta`,
+/// and `first_way` points at them. A set gets its ways on its first
+/// access, so a run that touches few sets writes few, and the arrays,
+/// reserved for every set, never reallocate.
 pub struct L2Cache {
-    sets: Vec<Vec<Way>>,
+    /// Per set, the index of its first way in `tags` and `meta`, or
+    /// [`UNTOUCHED`] until the set's first access.
+    first_way: Vec<u32>,
+    /// Per way, the line's tag + 1; 0 marks an invalid way.
+    tags: Vec<u64>,
+    /// Per way, the last-use tick << 1 | dirty; 0 for an invalid way.
+    meta: Vec<u64>,
+    ways: usize,
     set_mask: u64,
+    set_bits: u32,
     line_bits: u32,
     tick: u64,
 }
 
+/// `first_way` of a set that has not been accessed yet.
+const UNTOUCHED: u32 = u32::MAX;
+
+/// The most lines (sets × ways) a cache can hold: `first_way` indexes them
+/// with a `u32`.
+pub(crate) const MAX_LINES: usize = UNTOUCHED as usize;
+
 impl L2Cache {
     /// Builds an empty cache with the given geometry.
     pub fn new(cfg: &L2Config) -> Self {
+        assert!(cfg.ways > 0, "ways must be positive");
+        // A line of 2 B or more keeps a stored tag (tag + 1) from overflowing.
+        assert!(cfg.line > 1, "line must be at least 2 B");
         let n_sets = cfg.sets();
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
-        assert!(cfg.ways > 0);
+        let lines = n_sets * cfg.ways;
+        assert!(
+            lines <= MAX_LINES,
+            "{lines} lines exceed the {MAX_LINES} a cache indexes"
+        );
         L2Cache {
-            sets: vec![vec![Way::default(); cfg.ways]; n_sets],
+            first_way: vec![UNTOUCHED; n_sets],
+            tags: Vec::with_capacity(lines),
+            meta: Vec::with_capacity(lines),
+            ways: cfg.ways,
             set_mask: n_sets as u64 - 1,
+            set_bits: n_sets.trailing_zeros(),
             line_bits: cfg.line.trailing_zeros(),
             tick: 0,
         }
     }
 
+    /// The set and the stored tag (tag + 1) of the line containing `addr`.
     #[inline]
     fn index(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_bits;
-        (
-            (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
-        )
+        ((line & self.set_mask) as usize, (line >> self.set_bits) + 1)
     }
 
     /// Accesses the line containing `addr`. On a miss the line is allocated
@@ -67,68 +88,52 @@ impl L2Cache {
     /// write-back. `is_write` marks the line dirty.
     pub fn access(&mut self, addr: u64, is_write: bool) -> Access {
         self.tick += 1;
-        let (set_idx, tag) = self.index(addr);
-        let set_bits = self.set_mask.count_ones();
-        let set = &mut self.sets[set_idx];
-        // Hit?
-        for way in set.iter_mut() {
-            if way.valid && way.tag == tag {
-                way.stamp = self.tick;
-                way.dirty |= is_write;
-                return Access::Hit;
+        let (set, tag) = self.index(addr);
+        let mut first = self.first_way[set] as usize;
+        if first == UNTOUCHED as usize {
+            first = self.tags.len();
+            self.first_way[set] = first as u32;
+            self.tags.resize(first + self.ways, 0);
+            self.meta.resize(first + self.ways, 0);
+        }
+        let ways = first..first + self.ways;
+        let (tags, meta) = (&mut self.tags[ways.clone()], &mut self.meta[ways]);
+        let stamp = (self.tick << 1) | u64::from(is_write);
+        if let Some(w) = tags.iter().position(|&t| t == tag) {
+            meta[w] = stamp | (meta[w] & 1);
+            return Access::Hit;
+        }
+        // Miss: the victim is the first way with the smallest `meta`. An
+        // invalid way's 0 sorts below every valid way's unique stamp, so
+        // this is the first invalid way, else the least recently used.
+        let mut victim = 0;
+        for w in 1..meta.len() {
+            if meta[w] < meta[victim] {
+                victim = w;
             }
         }
-        // Miss: pick invalid way or LRU victim.
-        let victim = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| if w.valid { w.stamp } else { 0 })
-            .map(|(i, _)| i)
-            .expect("ways > 0");
-        let old = set[victim];
-        set[victim] = Way {
-            tag,
-            valid: true,
-            dirty: is_write,
-            stamp: self.tick,
-        };
-        let writeback = if old.valid && old.dirty {
-            let line = (old.tag << set_bits) | set_idx as u64;
-            Some(line << self.line_bits)
-        } else {
-            None
-        };
+        let (old_tag, old_meta) = (tags[victim], meta[victim]);
+        tags[victim] = tag;
+        meta[victim] = stamp;
+        let writeback = (old_tag != 0 && old_meta & 1 == 1).then(|| {
+            let line = ((old_tag - 1) << self.set_bits) | set as u64;
+            line << self.line_bits
+        });
         Access::Miss { writeback }
     }
 
     /// Whether the line containing `addr` is currently cached (no LRU
     /// update).
     pub fn contains(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.index(addr);
-        self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
+        let (set, tag) = self.index(addr);
+        let first = self.first_way[set] as usize;
+        first != UNTOUCHED as usize && self.tags[first..first + self.ways].contains(&tag)
     }
 
-    /// Invalidates everything, returning the number of dirty lines that
-    /// would have been written back.
-    pub fn flush(&mut self) -> usize {
-        let mut dirty = 0;
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                if way.valid && way.dirty {
-                    dirty += 1;
-                }
-                *way = Way::default();
-            }
-        }
-        dirty
-    }
-
-    /// Number of valid lines currently held (O(capacity); for tests).
+    /// Number of valid lines currently held (a scan of every touched set;
+    /// for tests).
     pub fn occupancy(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|w| w.valid).count())
-            .sum()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 }
 
@@ -217,17 +222,6 @@ mod tests {
             assert!(c.occupancy() <= 8);
         }
         assert_eq!(c.occupancy(), 8);
-    }
-
-    #[test]
-    fn flush_counts_dirty_lines() {
-        let mut c = small_cache();
-        c.access(0x0000, true);
-        c.access(0x0040, false);
-        c.access(0x0080, true);
-        assert_eq!(c.flush(), 2);
-        assert_eq!(c.occupancy(), 0);
-        assert!(!c.contains(0x0000));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! near the measured ~13 GB/s (reported) rather than the 42 GB/s brochure
 //! number. See DESIGN.md §6 for the calibration reasoning.
 
+use crate::cache::MAX_LINES;
 use crate::policy::PolicyKind;
 use serde::Serialize;
 use t2opt_core::chip::{ChipSpec, SocketTopology};
@@ -263,6 +264,19 @@ impl ChipConfig {
 
     /// Validates internal consistency (geometry vs mapping, line sizes).
     pub fn validate(&self) -> Result<(), String> {
+        // `L2Config::sets` divides by `ways * line`, so these come first.
+        if self.l2.ways == 0 {
+            return Err("L2 ways must be positive".into());
+        }
+        if self.l2.line < 2 {
+            return Err(format!("L2 line {} B must be at least 2 B", self.l2.line));
+        }
+        if self.l2.ways.checked_mul(self.l2.line).is_none() {
+            return Err(format!(
+                "L2 ways {} × line {} B overflows",
+                self.l2.ways, self.l2.line
+            ));
+        }
         let geo = self.map.geometry();
         if geo.line_size() as usize != self.l2.line {
             return Err(format!(
@@ -275,6 +289,13 @@ impl ChipConfig {
             return Err(format!(
                 "L2 set count {} is not a power of two",
                 self.l2.sets()
+            ));
+        }
+        if self.l2.sets() * self.l2.ways > MAX_LINES {
+            return Err(format!(
+                "L2 of {} sets × {} ways exceeds the {MAX_LINES} lines the cache model indexes",
+                self.l2.sets(),
+                self.l2.ways
             ));
         }
         if self.core.n_cores == 0
@@ -460,6 +481,24 @@ mod tests {
             let mut c = ChipConfig::ultrasparc_t2();
             zero(&mut c);
             assert!(c.validate().is_err());
+        }
+    }
+
+    #[test]
+    fn validate_rejects_l2_geometry_it_cannot_divide_or_index() {
+        // (ways, line, bytes, what the error must name)
+        let cases = [
+            (0, 64, 4 << 20, "L2 ways"),
+            (16, 0, 4 << 20, "L2 line"),
+            (16, 1, 4 << 20, "L2 line"),
+            (usize::MAX, 64, 4 << 20, "overflows"),
+            (16, 64, 64 << 32, "exceeds"),
+        ];
+        for (ways, line, bytes, field) in cases {
+            let mut c = ChipConfig::ultrasparc_t2();
+            (c.l2.ways, c.l2.line, c.l2.bytes) = (ways, line, bytes);
+            let err = c.validate().expect_err(field);
+            assert!(err.contains(field), "{err:?} does not name {field:?}");
         }
     }
 }

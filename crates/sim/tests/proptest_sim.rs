@@ -5,6 +5,90 @@ use t2opt_sim::cache::{Access, L2Cache};
 use t2opt_sim::config::{ChipConfig, L2Config};
 use t2opt_sim::prelude::*;
 
+/// The L2 content model as it was before its flat tag store: one `Vec` of
+/// ways per set, the victim the first minimum of the last-use stamps with
+/// invalid ways at 0. It is the reference for `cache_matches_the_reference_model`.
+struct RefL2 {
+    sets: Vec<Vec<RefWay>>,
+    set_mask: u64,
+    line_bits: u32,
+    tick: u64,
+}
+
+#[derive(Clone, Copy, Default)]
+struct RefWay {
+    tag: u64,
+    valid: bool,
+    dirty: bool,
+    stamp: u64,
+}
+
+impl RefL2 {
+    fn new(cfg: &L2Config) -> Self {
+        let n_sets = cfg.sets();
+        RefL2 {
+            sets: vec![vec![RefWay::default(); cfg.ways]; n_sets],
+            set_mask: n_sets as u64 - 1,
+            line_bits: cfg.line.trailing_zeros(),
+            tick: 0,
+        }
+    }
+
+    fn index(&self, addr: u64) -> (usize, u64) {
+        let line = addr >> self.line_bits;
+        (
+            (line & self.set_mask) as usize,
+            line >> self.set_mask.count_ones(),
+        )
+    }
+
+    fn access(&mut self, addr: u64, is_write: bool) -> Access {
+        self.tick += 1;
+        let (set_idx, tag) = self.index(addr);
+        let set_bits = self.set_mask.count_ones();
+        let set = &mut self.sets[set_idx];
+        for way in set.iter_mut() {
+            if way.valid && way.tag == tag {
+                way.stamp = self.tick;
+                way.dirty |= is_write;
+                return Access::Hit;
+            }
+        }
+        let victim = set
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, w)| if w.valid { w.stamp } else { 0 })
+            .map(|(i, _)| i)
+            .expect("ways > 0");
+        let old = set[victim];
+        set[victim] = RefWay {
+            tag,
+            valid: true,
+            dirty: is_write,
+            stamp: self.tick,
+        };
+        let writeback = if old.valid && old.dirty {
+            let line = (old.tag << set_bits) | set_idx as u64;
+            Some(line << self.line_bits)
+        } else {
+            None
+        };
+        Access::Miss { writeback }
+    }
+
+    fn contains(&self, addr: u64) -> bool {
+        let (set_idx, tag) = self.index(addr);
+        self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
+    }
+
+    fn occupancy(&self) -> usize {
+        self.sets
+            .iter()
+            .map(|s| s.iter().filter(|w| w.valid).count())
+            .sum()
+    }
+}
+
 fn small_l2() -> L2Config {
     L2Config {
         bytes: 8192,
@@ -38,6 +122,40 @@ proptest! {
         for &a in &addrs {
             cache.access(a, false);
             prop_assert_eq!(cache.access(a, false), Access::Hit);
+        }
+    }
+
+    /// The cache answers every call as the reference model does, on every
+    /// geometry of 1, 2, 4 or 16 sets by 1, 2, 4 or 16 ways: each access's
+    /// hit or miss and write-back address, each `contains`, and the final
+    /// occupancy. Addresses come from a pool of three lines per way, so
+    /// sets conflict and dirty victims occur; `high` moves the pool above
+    /// 2^40 to give the tags high bits.
+    #[test]
+    fn cache_matches_the_reference_model(
+        calls in proptest::collection::vec((0u64..1 << 20, 0u64..64, 0u8..3), 1..800),
+        high in proptest::bool::ANY,
+    ) {
+        for sets in [1usize, 2, 4, 16] {
+            for ways in [1usize, 2, 4, 16] {
+                let cfg = L2Config { bytes: sets * ways * 64, ways, ..small_l2() };
+                let (mut cache, mut reference) = (L2Cache::new(&cfg), RefL2::new(&cfg));
+                let pool = 3 * (sets * ways) as u64;
+                let base = if high { 0x7ab << 40 } else { 0 };
+                for &(line, byte, kind) in &calls {
+                    let addr = base + (line % pool) * 64 + byte;
+                    if kind == 2 {
+                        prop_assert_eq!(cache.contains(addr), reference.contains(addr));
+                    } else {
+                        let is_write = kind == 1;
+                        prop_assert_eq!(
+                            cache.access(addr, is_write),
+                            reference.access(addr, is_write)
+                        );
+                    }
+                }
+                prop_assert_eq!(cache.occupancy(), reference.occupancy());
+            }
         }
     }
 
