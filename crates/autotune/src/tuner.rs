@@ -192,6 +192,14 @@ impl TuneReport {
 /// Relative-quality gap above which the agreement check flags a trial.
 const DIVERGENCE_TOLERANCE: f64 = 0.25;
 
+/// A batch objective over grid points, in groups (see [`descend_impl`]).
+type Objective<'a> = dyn FnMut(&[&[[usize; N_DIMS]]]) -> Vec<f64> + 'a;
+
+/// A coordinate descent: grid `dims`, start point, round budget and
+/// objective to the final position and value ([`descend_impl`]).
+type Descent =
+    fn([usize; N_DIMS], [usize; N_DIMS], usize, &mut Objective<'_>) -> ([usize; N_DIMS], f64);
+
 /// What one [`Tuner::run`] measures, resolved from its strategy.
 enum Walk {
     /// One parallel batch of grid points, in the given order.
@@ -286,6 +294,11 @@ impl Tuner {
     /// # Panics
     /// Panics if the space is empty or the workload does not fit the chip.
     pub fn run(&mut self) -> TuneReport {
+        self.run_with(descend_impl)
+    }
+
+    /// [`Tuner::run`] with the descent the descending strategies walk.
+    fn run_with(&mut self, descend: Descent) -> TuneReport {
         assert!(
             !self.space.is_empty(),
             "parameter space has an empty dimension"
@@ -333,9 +346,9 @@ impl Tuner {
         };
 
         let dims = self.space.dims();
-        let mut eval = |batch: &[[usize; N_DIMS]]| {
+        let mut eval = |groups: &[&[[usize; N_DIMS]]]| {
             self.measure(
-                batch,
+                groups,
                 &pool,
                 &mut trials,
                 &mut seen,
@@ -345,10 +358,10 @@ impl Tuner {
         };
         match walk {
             Walk::Batch(batch) => {
-                eval(&batch);
+                eval(&[&batch]);
             }
             Walk::Descent { start, max_rounds } => {
-                descend_impl(dims, start, max_rounds, &mut eval);
+                descend(dims, start, max_rounds, &mut eval);
             }
         }
 
@@ -440,12 +453,14 @@ impl Tuner {
         kept
     }
 
-    /// Measures the candidates at `idxs` (cache first, then one parallel
-    /// batch for the misses), records fresh distinct trials, and returns
-    /// each candidate's bandwidth in input order.
+    /// Measures the candidates of `groups` (cache first, then one parallel
+    /// batch for the misses of every group), records fresh distinct trials,
+    /// and returns each candidate's bandwidth in input order, group after
+    /// group. Trials are recorded group by group, each group's cache hits
+    /// before its misses: the order one call per group would record.
     fn measure(
         &mut self,
-        idxs: &[[usize; N_DIMS]],
+        groups: &[&[[usize; N_DIMS]]],
         pool: &ThreadPool,
         trials: &mut Vec<Trial>,
         seen: &mut BTreeMap<String, usize>,
@@ -453,39 +468,60 @@ impl Tuner {
         trial_ctx: &TraceCtx,
     ) -> Vec<f64> {
         let advisor = self.advisor();
-        let specs: Vec<LayoutSpec> = idxs.iter().map(|&i| self.space.spec_at(i)).collect();
+        let specs: Vec<LayoutSpec> = groups
+            .iter()
+            .flat_map(|g| g.iter())
+            .map(|&i| self.space.spec_at(i))
+            .collect();
         let keys: Vec<String> = specs
             .iter()
             .map(|s| ResultCache::key(&self.workload, &self.chip, s))
             .collect();
 
-        // Cache pass. Candidates repeated within one batch (distinct grid
+        // Cache pass. Candidates repeated within one call (distinct grid
         // points can normalize to the same spec) or measured by an earlier
-        // batch are neither re-simulated nor double-counted: only the first
-        // occurrence of an unknown key is dispatched.
+        // call are neither re-simulated nor double-counted: only the first
+        // occurrence of an unknown key is dispatched. A miss takes its
+        // trial slot after its group's hits and is filled in after the
+        // batch.
         let mut pending: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
         let mut to_run: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            if seen.contains_key(key) || pending.contains(key.as_str()) {
-                continue;
-            }
-            match self.cache.get(key) {
-                Some(gbs) => {
-                    seen.insert(key.clone(), trials.len());
-                    trials.push(Trial {
-                        spec: specs[i].clone(),
-                        gbs,
-                        predicted_efficiency: self
-                            .workload
-                            .predicted_efficiency(&advisor, &specs[i]),
-                        from_cache: true,
-                    });
+        let mut first = 0;
+        for group in groups {
+            let group_misses = to_run.len();
+            for i in first..first + group.len() {
+                let key = &keys[i];
+                if seen.contains_key(key) || pending.contains(key.as_str()) {
+                    continue;
                 }
-                None => {
-                    pending.insert(key.as_str());
-                    to_run.push(i);
+                match self.cache.get(key) {
+                    Some(gbs) => {
+                        seen.insert(key.clone(), trials.len());
+                        trials.push(Trial {
+                            spec: specs[i].clone(),
+                            gbs,
+                            predicted_efficiency: self
+                                .workload
+                                .predicted_efficiency(&advisor, &specs[i]),
+                            from_cache: true,
+                        });
+                    }
+                    None => {
+                        pending.insert(key.as_str());
+                        to_run.push(i);
+                    }
                 }
             }
+            for &i in &to_run[group_misses..] {
+                seen.insert(keys[i].clone(), trials.len());
+                trials.push(Trial {
+                    spec: specs[i].clone(),
+                    gbs: f64::NAN,
+                    predicted_efficiency: f64::NAN,
+                    from_cache: false,
+                });
+            }
+            first += group.len();
         }
 
         // Parallel batch over the misses, one trial per claim. Simulator
@@ -530,13 +566,10 @@ impl Tuner {
                         spec: specs[i].clone(),
                     },
                 );
-                seen.insert(keys[i].clone(), trials.len());
-                trials.push(Trial {
-                    spec: specs[i].clone(),
-                    gbs,
-                    predicted_efficiency: self.workload.predicted_efficiency(&advisor, &specs[i]),
-                    from_cache: false,
-                });
+                let trial = &mut trials[seen[&keys[i]]];
+                trial.gbs = gbs;
+                trial.predicted_efficiency =
+                    self.workload.predicted_efficiency(&advisor, &specs[i]);
             }
         }
 
@@ -562,45 +595,40 @@ fn trial_span_name(spec: &LayoutSpec) -> String {
 /// move to its best value, stop when a full round improves nothing or
 /// `max_rounds` is reached. Returns the final position and value.
 ///
+/// The objective takes groups of grid points and returns their values in
+/// order. The start is measured with the first line of more than one
+/// value, as a group of its own ahead of the line, so both run in one
+/// batch; a line of one value holds only the current point and is not
+/// measured again. With no such line, or `max_rounds` 0, the start is
+/// measured alone.
+///
 /// A free function over the objective so the descent is unit-testable
 /// against synthetic landscapes; [`Tuner::run`] passes a closure that simulates
 /// (cache-first) and records trials.
-pub(crate) fn descend_impl<F>(
+pub(crate) fn descend_impl(
     dims: [usize; N_DIMS],
     start: [usize; N_DIMS],
     max_rounds: usize,
-    eval: &mut F,
-) -> ([usize; N_DIMS], f64)
-where
-    F: FnMut(&[[usize; N_DIMS]]) -> Vec<f64>,
-{
+    eval: &mut Objective<'_>,
+) -> ([usize; N_DIMS], f64) {
     let mut cur = start;
-    let mut cur_gbs = eval(&[cur])[0];
+    let mut cur_gbs = None;
     for _ in 0..max_rounds {
         let mut improved = false;
-        for dim in 0..N_DIMS {
-            let line: Vec<[usize; N_DIMS]> = (0..dims[dim])
-                .map(|v| {
-                    let mut idx = cur;
-                    idx[dim] = v;
-                    idx
-                })
-                .collect();
-            let gbs = eval(&line);
-            // Argmax along the line; ties to the lowest grid value so
-            // the walk is deterministic.
-            let (best_v, &best_gbs) = gbs
-                .iter()
-                .enumerate()
-                .max_by(|(ai, a), (bi, b)| {
-                    a.partial_cmp(b)
-                        .expect("bandwidth is finite")
-                        .then(bi.cmp(ai))
-                })
-                .expect("dimension is non-empty");
-            if best_gbs > cur_gbs {
+        for dim in (0..N_DIMS).filter(|&d| dims[d] > 1) {
+            let line = line_through(cur, dim, dims[dim]);
+            let gbs = match cur_gbs {
+                Some(_) => eval(&[&line]),
+                None => {
+                    let mut values = eval(&[&[cur], &line]);
+                    cur_gbs = Some(values.remove(0));
+                    values
+                }
+            };
+            let (best_v, best_gbs) = line_argmax(&gbs);
+            if best_gbs > cur_gbs.expect("measured with the first line") {
                 cur[dim] = best_v;
-                cur_gbs = best_gbs;
+                cur_gbs = Some(best_gbs);
                 improved = true;
             }
         }
@@ -608,7 +636,34 @@ where
             break;
         }
     }
+    let cur_gbs = cur_gbs.unwrap_or_else(|| eval(&[&[cur]])[0]);
     (cur, cur_gbs)
+}
+
+/// The `n` grid points through `cur` along dimension `dim`.
+fn line_through(cur: [usize; N_DIMS], dim: usize, n: usize) -> Vec<[usize; N_DIMS]> {
+    (0..n)
+        .map(|v| {
+            let mut idx = cur;
+            idx[dim] = v;
+            idx
+        })
+        .collect()
+}
+
+/// Argmax along a line; ties go to the lowest grid value so the walk is
+/// deterministic.
+fn line_argmax(gbs: &[f64]) -> (usize, f64) {
+    let (best_v, &best_gbs) = gbs
+        .iter()
+        .enumerate()
+        .max_by(|(ai, a), (bi, b)| {
+            a.partial_cmp(b)
+                .expect("bandwidth is finite")
+                .then(bi.cmp(ai))
+        })
+        .expect("dimension is non-empty");
+    (best_v, best_gbs)
 }
 
 /// Builds the [`Agreement`] section: Spearman rank correlation plus the
@@ -914,9 +969,195 @@ mod tests {
 
     #[test]
     fn coordinate_descent_stalls_on_the_deceptive_landscape() {
-        let (pos, val) = descend_impl(DECEPTIVE_DIMS, [0; N_DIMS], 8, &mut deceptive_eval);
+        let (pos, val) = descend_impl(DECEPTIVE_DIMS, [0; N_DIMS], 8, &mut |groups| {
+            deceptive_eval(&groups.concat())
+        });
         assert_eq!(pos, [0; N_DIMS], "every axis sweep from the origin loses");
         assert_eq!(val, 10.0);
+    }
+
+    /// The descent before the start joined its first line's batch: the
+    /// start alone, then one batch per line. [`descend_impl`] must record
+    /// exactly what this one records.
+    fn descend_two_batch(
+        dims: [usize; N_DIMS],
+        start: [usize; N_DIMS],
+        max_rounds: usize,
+        eval: &mut Objective<'_>,
+    ) -> ([usize; N_DIMS], f64) {
+        let mut cur = start;
+        let mut cur_gbs = eval(&[&[cur]])[0];
+        for _ in 0..max_rounds {
+            let mut improved = false;
+            for dim in 0..N_DIMS {
+                let (best_v, best_gbs) = line_argmax(&eval(&[&line_through(cur, dim, dims[dim])]));
+                if best_gbs > cur_gbs {
+                    cur[dim] = best_v;
+                    cur_gbs = best_gbs;
+                    improved = true;
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        (cur, cur_gbs)
+    }
+
+    /// The groups of every objective call a descent made, in order.
+    type Calls = Vec<Vec<Vec<[usize; N_DIMS]>>>;
+
+    /// Every call `descend` makes to the deceptive objective, and its
+    /// answer.
+    fn deceptive_calls(
+        descend: Descent,
+        start: [usize; N_DIMS],
+        max_rounds: usize,
+    ) -> (Calls, ([usize; N_DIMS], f64)) {
+        let mut calls = Vec::new();
+        let answer = descend(DECEPTIVE_DIMS, start, max_rounds, &mut |groups| {
+            calls.push(groups.iter().map(|g| g.to_vec()).collect());
+            deceptive_eval(&groups.concat())
+        });
+        (calls, answer)
+    }
+
+    #[test]
+    fn the_start_is_measured_with_its_first_line() {
+        let start = [0, 1, 2, 0, 0];
+        let (calls, _) = deceptive_calls(descend_impl, start, 8);
+        // Dimension 0 has one value, so the first line is dimension 1's.
+        let line: Vec<[usize; N_DIMS]> = (0..3).map(|v| [0, v, 2, 0, 0]).collect();
+        assert_eq!(calls[0], vec![vec![start], line]);
+        assert!(calls[1..].iter().all(|c| c.len() == 1 && c[0].len() == 3));
+        // No round: the start alone.
+        let (calls, answer) = deceptive_calls(descend_impl, start, 0);
+        assert_eq!(calls, vec![vec![vec![start]]]);
+        assert_eq!(answer, (start, DECEPTIVE[1][2]));
+    }
+
+    #[test]
+    fn the_descent_visits_what_the_two_batch_descent_visits() {
+        // First occurrences, in order: what the tuner records as trials.
+        let visited = |calls: &Calls| {
+            let mut seen: Vec<[usize; N_DIMS]> = Vec::new();
+            for p in calls.iter().flatten().flatten() {
+                if !seen.contains(p) {
+                    seen.push(*p);
+                }
+            }
+            seen
+        };
+        for (sa, sh) in (0..3).flat_map(|a| (0..3).map(move |b| (a, b))) {
+            for rounds in [1, 2, 8] {
+                let start = [0, sa, sh, 0, 0];
+                let (calls, answer) = deceptive_calls(descend_impl, start, rounds);
+                let (old_calls, old_answer) = deceptive_calls(descend_two_batch, start, rounds);
+                assert_eq!(answer, old_answer, "from {start:?}, {rounds} rounds");
+                assert_eq!(visited(&calls), visited(&old_calls));
+                assert!(calls.len() < old_calls.len());
+            }
+        }
+    }
+
+    /// `tuner` run with `descend` inside a trace of its own: the report as
+    /// JSON and the names of its trial spans, sorted (workers finish in
+    /// any order).
+    fn traced_run(mut tuner: Tuner, descend: Descent) -> (String, Vec<String>) {
+        let traces = TraceBuffer::new(1, 64);
+        let ctx = traces.start("tune").child_of(0);
+        let report = {
+            let _entered = ctx.enter();
+            tuner.run_with(descend)
+        };
+        let mut spans: Vec<String> = traces.recent(1)[0]
+            .spans()
+            .iter()
+            .filter(|s| s.name.starts_with("trial "))
+            .map(|s| s.name.clone())
+            .collect();
+        spans.sort();
+        (t2opt_core::json::to_json_string(&report), spans)
+    }
+
+    /// The bandwidth a test cache holds for the candidate at a row-major
+    /// position, if any.
+    type CachedValue<'a> = &'a dyn Fn(usize) -> Option<f64>;
+
+    #[test]
+    fn one_batch_start_records_what_the_two_batch_descent_records() {
+        let chip = ChipConfig::ultrasparc_t2();
+        let cases = [
+            (
+                Workload::triad_smoke(1 << 12, 16),
+                ParamSpace::offset_sweep_for(&t2opt_core::chip::ChipSpec::ultrasparc_t2()),
+            ),
+            (
+                Workload::lbm_smoke(16, t2opt_kernels::lbm::LbmLayout::IvJK, 16),
+                ParamSpace::lbm_padding_sweep(),
+            ),
+        ];
+        for (workload, space) in cases {
+            let tuner = |strategy: SearchStrategy, cache: ResultCache| {
+                Tuner::new(workload.clone(), chip.clone(), space.clone())
+                    .strategy(strategy)
+                    .cache(cache)
+                    .pool_threads(2)
+            };
+            // Every candidate's bandwidth, in row-major order.
+            let candidates = space.candidates();
+            let exhaustive = tuner(SearchStrategy::Exhaustive, ResultCache::in_memory()).run();
+            let gbs: Vec<f64> = candidates
+                .iter()
+                .map(|c| exhaustive.trials.iter().find(|t| &t.spec == c).unwrap().gbs)
+                .collect();
+            let cache_of = |keep: CachedValue| {
+                let mut cache = ResultCache::in_memory();
+                for (i, spec) in candidates.iter().enumerate() {
+                    if let Some(v) = keep(i) {
+                        cache.insert(ResultCache::key(&workload, &chip, spec), v);
+                    }
+                }
+                cache
+            };
+            for strategy in [
+                SearchStrategy::advisor_seeded(),
+                SearchStrategy::transfer_seeded(),
+            ] {
+                // These caches hold no foreign family, so a transfer-seeded
+                // descent starts at the origin.
+                let start = match strategy {
+                    SearchStrategy::AdvisorSeeded { .. } => {
+                        let advisor = tuner(strategy, ResultCache::in_memory()).advisor();
+                        space.nearest_index(&advisor.suggest_layout())
+                    }
+                    _ => [0; N_DIMS],
+                };
+                let s = space.indices().position(|i| i == start).unwrap();
+                // The half-warm caches hold every other candidate. With the
+                // start cached, at their own bandwidth; with the start
+                // missing, at the start's bandwidth, so its line's hits tie
+                // with it exactly and the trial order decides the ranking.
+                let caches: [(&str, CachedValue); 4] = [
+                    ("cold", &|_| None),
+                    ("warm", &|i| Some(gbs[i])),
+                    ("half-warm, start cached", &|i| {
+                        (i % 2 == s % 2).then_some(gbs[i])
+                    }),
+                    ("half-warm, start missing", &|i| {
+                        (i % 2 != s % 2).then_some(gbs[s])
+                    }),
+                ];
+                for (name, keep) in caches {
+                    let case = format!("{} {strategy:?} {name}", workload.tag());
+                    let (report, spans) = traced_run(tuner(strategy, cache_of(keep)), descend_impl);
+                    let (old_report, old_spans) =
+                        traced_run(tuner(strategy, cache_of(keep)), descend_two_batch);
+                    assert_eq!(report, old_report, "{case}");
+                    assert_eq!(spans, old_spans, "{case}");
+                }
+            }
+        }
     }
 
     /// A Jacobi space with a *unique* optimum at (shift 64, offset 0) and

@@ -517,12 +517,15 @@ impl Workload {
     /// workload under `spec`: the mean of [`LayoutAdvisor::predict`] over
     /// each [`Workload::stream_units`] stream set (threads differ when the
     /// layout shifts segments against each other; for [`Workload::Jacobi`]
-    /// the unit is the interior row's stream set instead).
+    /// the unit is the interior row's stream set instead). Each distinct
+    /// stream set is walked once ([`LayoutAdvisor::phase_memo`] at
+    /// `predict`'s costs).
     pub fn predicted_efficiency(&self, advisor: &LayoutAdvisor, spec: &LayoutSpec) -> f64 {
         let units = self.stream_units(spec);
+        let mut walks = advisor.phase_memo(1, 2);
         let total: f64 = units
             .iter()
-            .map(|u| advisor.predict(&u.streams).efficiency)
+            .map(|u| walks.analyze(&u.streams).efficiency())
             .sum();
         // On a NUMA chip the candidate's page placement scales the whole
         // estimate: remote traffic cannot be recovered by byte offsets

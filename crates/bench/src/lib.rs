@@ -1,8 +1,9 @@
 //! # t2opt-bench
 //!
 //! Figure-regeneration harness for Hager, Zeiser & Wellein (2008): shared
-//! infrastructure (CLI parsing, table/JSON output, experiment drivers) for
-//! the `fig2_stream` … `fig7_lbm` binaries and the `ablation_*` studies.
+//! infrastructure (table/JSON output, experiment drivers, and the
+//! `t2opt_core::cli` parser re-exported as [`Args`]) for the
+//! `fig2_stream` … `fig7_lbm` binaries and the `ablation_*` studies.
 //!
 //! Each binary prints the same series the corresponding paper figure plots
 //! (bandwidth vs offset, MLUPs/s vs domain size, …) as an aligned text
@@ -15,13 +16,12 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod cli;
 pub mod experiments;
 pub mod expfmt;
 pub mod output;
 
-pub use cli::Args;
 pub use output::{to_json_string, write_json, Table};
+pub use t2opt_core::cli::Args;
 
 use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
 use t2opt_sim::policy::{PolicyKind, POLICY_NAMES};

@@ -50,6 +50,8 @@
 use crate::chip::SocketTopology;
 use crate::mapping::{MapPolicy, PagePlacement};
 use serde::Serialize;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Direction of an access stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -324,27 +326,53 @@ impl LayoutAdvisor {
             }
         };
         let mps = self.mcs_per_socket();
-        let mut load = vec![0u64; mps];
-        let mut blocking = vec![0u64; mps];
-        let mut convoy = 0u64;
-        let mut distinct = 0usize;
-        for p in 0..phases as u64 {
-            blocking.fill(0);
-            for s in streams {
+        walk(mps, phases, read_cost, write_cost, |p| {
+            streams.iter().map(move |s| {
                 let mc = self.policy.controller(s.base + p * line) as usize % mps;
-                let read = u64::from(s.kind.blocking()) * read_cost;
-                blocking[mc] += read;
-                load[mc] += read + u64::from(s.kind.writebacks()) * write_cost;
-            }
-            convoy += *blocking.iter().max().expect("at least one controller");
-            distinct += blocking.iter().filter(|&&b| b > 0).count();
+                (s.kind, mc)
+            })
+        })
+    }
+
+    /// A memo of [`LayoutAdvisor::analyze`] at `read_cost` and
+    /// `write_cost`, for a caller that analyzes many stream sets against
+    /// one map: each distinct set is walked once. See [`PhaseMemo`].
+    pub fn phase_memo(&self, read_cost: u64, write_cost: u64) -> PhaseMemo<'_> {
+        let line = self.policy.geometry().line_size();
+        let mps = self.mcs_per_socket();
+        let table = self
+            .line_period()
+            .map(|lines| {
+                (0..lines)
+                    .map(|l| self.policy.controller(l * line) % mps as u32)
+                    .collect()
+            })
+            .unwrap_or_default();
+        PhaseMemo {
+            advisor: self,
+            read_cost,
+            write_cost,
+            table,
+            index: HashMap::default(),
+            walks: Vec::new(),
+            key: Vec::new(),
+            walked: 0,
         }
-        PhaseAnalysis {
-            load,
-            convoy,
-            distinct,
-            phases,
-        }
+    }
+
+    /// The lines in one interleave period when the controller of every
+    /// address is a function of its line index modulo that many lines:
+    /// sliced maps whose controller field lies at or above the line bits,
+    /// and page-interleave maps of whole-line pages. `None` for every
+    /// other map, hashed ones included.
+    fn line_period(&self) -> Option<u64> {
+        let line = self.policy.geometry().line_size();
+        let exact = match self.policy {
+            MapPolicy::Sliced(m) => m.mc_lo_bit >= m.line_bits,
+            MapPolicy::PageInterleave { page, .. } => page > 0 && page % line == 0,
+            MapPolicy::XorFold { .. } => false,
+        };
+        exact.then(|| self.policy.interleave_period() / line)
     }
 
     /// Predicts the controller-utilization efficiency of a set of lockstep
@@ -490,6 +518,159 @@ impl LayoutAdvisor {
 impl Default for LayoutAdvisor {
     fn default() -> Self {
         LayoutAdvisor::t2()
+    }
+}
+
+/// The phase loop behind every walk: `lines(p)` yields the kind and the
+/// socket-local controller of each stream's line at phase `p`.
+fn walk<I>(
+    mps: usize,
+    phases: usize,
+    read_cost: u64,
+    write_cost: u64,
+    mut lines: impl FnMut(u64) -> I,
+) -> PhaseAnalysis
+where
+    I: Iterator<Item = (StreamKind, usize)>,
+{
+    let mut load = vec![0u64; mps];
+    let mut blocking = vec![0u64; mps];
+    let mut convoy = 0u64;
+    let mut distinct = 0usize;
+    for p in 0..phases as u64 {
+        blocking.fill(0);
+        for (kind, mc) in lines(p) {
+            let read = u64::from(kind.blocking()) * read_cost;
+            blocking[mc] += read;
+            load[mc] += read + u64::from(kind.writebacks()) * write_cost;
+        }
+        convoy += *blocking.iter().max().expect("at least one controller");
+        distinct += blocking.iter().filter(|&&b| b > 0).count();
+    }
+    PhaseAnalysis {
+        load,
+        convoy,
+        distinct,
+        phases,
+    }
+}
+
+/// [`LayoutAdvisor::analyze`] at fixed costs over many stream sets, each
+/// distinct set walked once ([`LayoutAdvisor::phase_memo`]).
+///
+/// On a map whose controller is a function of the line index modulo the
+/// period's `P` lines, a set's walk depends only on its streams' kinds and
+/// on their line indices minus the first stream's, modulo `P`: moving
+/// every stream by whole lines only rotates the walk's phases, and `load`,
+/// `convoy` and `distinct` are sums over phases. The memo keys each set by
+/// exactly that and walks it over a per-period table of socket-folded
+/// controllers, so equal keys give equal analyses bit for bit. On any
+/// other map (`XorFold`, sliced maps with controller bits below the line
+/// bits, pages that are not whole lines) every set is walked by
+/// [`LayoutAdvisor::analyze`] itself.
+#[derive(Debug)]
+pub struct PhaseMemo<'a> {
+    advisor: &'a LayoutAdvisor,
+    read_cost: u64,
+    write_cost: u64,
+    /// Socket-folded controller of each line of one period; empty when the
+    /// map has no exact line period and every set falls back to `analyze`.
+    table: Vec<u32>,
+    /// Key → position in `walks`.
+    index: HashMap<Vec<u64>, usize, BuildHasherDefault<KeyHasher>>,
+    /// One analysis per distinct key, or the latest one on the fallback.
+    walks: Vec<PhaseAnalysis>,
+    /// The key being looked up: per stream, its line offset from the
+    /// first stream modulo the period, shifted left by 2, or'ed with its
+    /// kind's discriminant.
+    key: Vec<u64>,
+    /// Phase walks run, for [`PhaseMemo::walks`].
+    walked: usize,
+}
+
+impl PhaseMemo<'_> {
+    /// The analysis of `streams`, equal field by field to
+    /// `analyze(streams, read_cost, write_cost)`.
+    pub fn analyze(&mut self, streams: &[StreamDesc]) -> &PhaseAnalysis {
+        if self.table.is_empty() {
+            let a = self
+                .advisor
+                .analyze(streams, self.read_cost, self.write_cost);
+            self.walked += 1;
+            self.walks.clear();
+            self.walks.push(a);
+            return &self.walks[0];
+        }
+        let lines = self.table.len() as u64;
+        let line_bits = self.advisor.policy.geometry().line_bits;
+        let first = streams.first().map_or(0, |s| (s.base >> line_bits) % lines);
+        self.key.clear();
+        self.key.extend(streams.iter().map(|s| {
+            let offset = ((s.base >> line_bits) % lines + lines - first) % lines;
+            offset << 2 | s.kind as u64
+        }));
+        let i = match self.index.get(self.key.as_slice()) {
+            Some(&i) => i,
+            None => {
+                let a = self.walk_key(streams);
+                self.walked += 1;
+                self.walks.push(a);
+                self.index.insert(self.key.clone(), self.walks.len() - 1);
+                self.walks.len() - 1
+            }
+        };
+        &self.walks[i]
+    }
+
+    /// Phase walks run so far: one per distinct key on a map with an exact
+    /// line period, one per call otherwise.
+    pub fn walks(&self) -> usize {
+        self.walked
+    }
+
+    /// Walks `streams` at the current key's offsets, from line 0 of the
+    /// table.
+    fn walk_key(&self, streams: &[StreamDesc]) -> PhaseAnalysis {
+        let table = &self.table;
+        let lines = table.len();
+        let mps = self.advisor.mcs_per_socket();
+        walk(mps, lines, self.read_cost, self.write_cost, |p| {
+            streams.iter().zip(&self.key).map(move |(s, &k)| {
+                let line = (k >> 2) as usize + p as usize;
+                let line = if line >= lines { line - lines } else { line };
+                (s.kind, table[line] as usize)
+            })
+        })
+    }
+}
+
+/// Multiply-rotate hashing of [`PhaseMemo`] keys, about one multiply per
+/// stream. The keys are line offsets the memo computes itself; a
+/// collision costs time within one memo, never a wrong answer.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.write_u64(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        for &b in chunks.remainder() {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

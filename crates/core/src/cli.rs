@@ -1,5 +1,5 @@
-//! A tiny dependency-free command-line flag parser for the figure
-//! binaries.
+//! A tiny dependency-free command-line flag parser for the workspace's
+//! binaries: the `t2opt-bench` figure and study bins and `t2opt-serve`.
 //!
 //! A binary declares the `--key value` options and bare `--flag` switches
 //! it reads, and [`Args::from_env`] refuses every other name before any

@@ -35,6 +35,8 @@
 //!   telemetry, bench CLIs) derives its geometry instead of assuming T2.
 //! * [`corr`] — rank-correlation statistics ([`corr::spearman`]) shared by
 //!   every layer that cross-validates one predictor against another.
+//! * [`cli`] — the command-line parser every binary declares its options
+//!   to ([`cli::Args`]).
 //!
 //! ## Quick example
 //!
@@ -61,6 +63,7 @@
 pub mod advisor;
 pub mod alloc;
 pub mod chip;
+pub mod cli;
 pub mod corr;
 pub mod iter;
 pub mod json;

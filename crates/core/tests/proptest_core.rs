@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 use t2opt_core::advisor::{LayoutAdvisor, StreamDesc, StreamKind};
-use t2opt_core::chip::{ChipSpec, PRESET_NAMES};
+use t2opt_core::chip::{ChipSpec, SocketTopology, PRESET_NAMES};
 use t2opt_core::layout::{LayoutSpec, SegmentPlan};
-use t2opt_core::mapping::AddressMap;
+use t2opt_core::mapping::{AddressMap, MapPolicy};
 use t2opt_core::seg_array::SegArray;
 
 /// Arbitrary layout specs. Shifts/offsets are multiples of 8 so the
@@ -273,5 +273,117 @@ proptest! {
         prop_assert_eq!(geo.line_base(addr) % geo.line_size(), 0);
         prop_assert_eq!(geo.line_index(addr), addr / geo.line_size());
         prop_assert_eq!(geo.bank(geo.line_base(addr)), geo.bank(addr));
+    }
+}
+
+/// The advisor of memo-test map `map`: 0–5 the presets (socket folds
+/// included), 6 a sliced map, 7 a page-interleave map, 8 an XOR fold.
+/// The random geometries put the controller field as low as one bit
+/// below the line bits and the page as much as a line fraction off whole
+/// lines, so both fall back to `analyze` in part of the cases. Returns the
+/// advisor and whether its map has an exact line period.
+fn memo_advisor(
+    map: usize,
+    (line_bits, mc_gap, mc_bits, page_lines, page_off, sockets): (u32, u32, u32, u64, u64, u32),
+) -> (LayoutAdvisor, bool) {
+    if map < PRESET_NAMES.len() {
+        return (ChipSpec::preset(PRESET_NAMES[map]).unwrap().advisor(), true);
+    }
+    let geo = AddressMap {
+        line_bits,
+        mc_lo_bit: line_bits + mc_gap - 1,
+        mc_bits,
+        bank_lo_bit: line_bits,
+        bank_bits: 0,
+    };
+    let line = geo.line_size();
+    let (policy, exact) = match map {
+        6 => (MapPolicy::Sliced(geo), mc_gap > 0),
+        7 => (
+            MapPolicy::PageInterleave {
+                base: geo,
+                page: page_lines * line + page_off * line / 4,
+            },
+            page_off == 0,
+        ),
+        _ => (
+            MapPolicy::XorFold {
+                base: geo,
+                folds: mc_gap + 1,
+            },
+            false,
+        ),
+    };
+    let n_sockets = 1usize << sockets.min(mc_bits);
+    let topology = SocketTopology {
+        n_sockets,
+        ..SocketTopology::single()
+    };
+    (LayoutAdvisor::new(policy).with_numa(topology, 12), exact)
+}
+
+proptest! {
+    /// The memoized walk of every stream set equals `analyze` of that set,
+    /// field by field, on the presets, random sliced and page-interleave
+    /// geometries and an XOR fold. Each call walks sets of 1–40 streams of
+    /// mixed kinds at sub-line offsets above 2^40, with variants that move
+    /// every stream by the same whole lines, move streams by whole periods
+    /// independently, or change one stream's kind. On a map with an exact
+    /// line period the two moves reuse the set's walk.
+    #[test]
+    fn memoized_phase_walks_equal_analyze(
+        map in 0usize..9,
+        geometry in (4u32..8, 0u32..3, 1u32..4, 1u64..5, 0u64..3, 0u32..3),
+        costs in (1u64..32, 0u64..64),
+        seed in 1u64..u64::MAX,
+    ) {
+        let (advisor, exact) = memo_advisor(map, geometry);
+        let (read, write) = costs;
+        let period = advisor.policy().interleave_period();
+        let line = advisor.policy().geometry().line_size();
+        let mut rng = proptest::TestRng::new(seed);
+        let mut memo = advisor.phase_memo(read, write);
+        for _ in 0..3 {
+            let n = 1 + rng.below(40) as usize;
+            let set: Vec<StreamDesc> = (0..n)
+                .map(|_| StreamDesc {
+                    base: (1 << 40) + rng.below(1 << 24),
+                    kind: [StreamKind::Read, StreamKind::Write, StreamKind::Writeback]
+                        [rng.below(3) as usize],
+                })
+                .collect();
+            let shift = rng.below(1 << 20) * line;
+            let translated: Vec<StreamDesc> = set
+                .iter()
+                .map(|s| StreamDesc { base: s.base + shift, ..*s })
+                .collect();
+            let congruent: Vec<StreamDesc> = set
+                .iter()
+                .map(|s| StreamDesc { base: s.base + shift + rng.below(4) * period, ..*s })
+                .collect();
+            let mut rekinded = set.clone();
+            rekinded[0].kind = match rekinded[0].kind {
+                StreamKind::Read => StreamKind::Write,
+                StreamKind::Write => StreamKind::Writeback,
+                StreamKind::Writeback => StreamKind::Read,
+            };
+            for (streams, reuses_walk) in [
+                (&set, false),
+                (&translated, exact),
+                (&congruent, exact),
+                (&rekinded, false),
+            ] {
+                let walks = memo.walks();
+                let got = memo.analyze(streams).clone();
+                let want = advisor.analyze(streams, read, write);
+                prop_assert_eq!(&got.load, &want.load, "{:?}", advisor);
+                prop_assert_eq!(got.convoy, want.convoy);
+                prop_assert_eq!(got.distinct, want.distinct);
+                prop_assert_eq!(got.phases, want.phases);
+                if reuses_walk {
+                    prop_assert_eq!(memo.walks(), walks, "a moved set walked again");
+                }
+            }
+        }
     }
 }

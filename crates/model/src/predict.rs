@@ -3,9 +3,10 @@
 //! Both terms read the advisor's phase walk
 //! ([`LayoutAdvisor::analyze`]) over each unit's streams, priced in
 //! cycles: a blocking line costs `read_service`, a write-back
-//! `write_service`. The walk supplies the cycle-weighted efficiency and
-//! controller occupancy of the capacity term and the controller spread of
-//! the latency term.
+//! `write_service`. One prediction walks each distinct stream set once
+//! ([`LayoutAdvisor::phase_memo`]). The walk supplies the cycle-weighted
+//! efficiency and controller occupancy of the capacity term and the
+//! controller spread of the latency term.
 
 use crate::shape::KernelShape;
 use crate::timing::ModelTiming;
@@ -126,16 +127,13 @@ impl PerfModel {
         let n_mc = self.policy.geometry().num_controllers() as f64;
         let advisor =
             LayoutAdvisor::new(self.policy).with_numa(self.numa, self.timing.read_service);
+        let mut walks = advisor.phase_memo(self.timing.read_service, self.timing.write_service);
         let mut total_occ = 0.0;
         let mut weighted_eff = 0.0;
         let mut spread_sum = 0.0;
         let mut spread_units = 0.0;
         for unit in &shape.units {
-            let a = advisor.analyze(
-                &unit.streams,
-                self.timing.read_service,
-                self.timing.write_service,
-            );
+            let a = walks.analyze(&unit.streams);
             let occ = unit.lines as f64 * (a.total() as f64 / a.phases as f64);
             total_occ += occ;
             weighted_eff += occ * a.efficiency();

@@ -5,7 +5,9 @@
 //! cargo run --release -p t2opt-serve -- --port 0 --port-file /tmp/serve.port
 //! ```
 //!
-//! Flags (all optional):
+//! Options (all optional; an unknown option, a missing value or a
+//! non-numeric count exits 2 and names the option, and `--help` prints
+//! the accepted list and exits 0):
 //! - `--host H` bind host (default `127.0.0.1`)
 //! - `--port P` bind port (default `0` = ephemeral; the chosen port is
 //!   printed and, with `--port-file`, written to a file for scripts)
@@ -28,6 +30,7 @@
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
+use t2opt_core::cli::Args;
 use t2opt_serve::{AdviceService, Server, ServerConfig};
 use t2opt_store::Store;
 use t2opt_telemetry::logger::{self, log_line, Level};
@@ -47,42 +50,40 @@ extern "C" {
 const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
 
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+/// The `--key value` options the daemon reads.
+const KEYS: &[&str] = &[
+    "host",
+    "port",
+    "port-file",
+    "store-dir",
+    "shards",
+    "workers",
+    "refiners",
+    "queue-cap",
+    "log",
+];
 
-fn flag_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
-    flag_value(name).map_or(default, |v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("{name} expects a number, got {v:?}"))
-    })
-}
-
-fn flag_present(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
+/// The bare switches the daemon reads.
+const FLAGS: &[&str] = &["no-trace"];
 
 fn main() {
-    let log_path = flag_value("--log");
-    logger::init_from_env(log_path.as_deref());
-    let host = flag_value("--host").unwrap_or_else(|| "127.0.0.1".to_string());
-    let port: u16 = flag_parse("--port", 0);
-    let shards: usize = flag_parse("--shards", 8);
+    let args = Args::from_env(KEYS, FLAGS);
+    logger::init_from_env(args.get_str("log"));
+    let host = args.get_str("host").unwrap_or("127.0.0.1");
+    let port: u16 = args.get("port", 0);
+    let shards: usize = args.get("shards", 8);
     let config = ServerConfig {
-        workers: flag_parse("--workers", 8),
-        refiners: flag_parse("--refiners", 1),
+        workers: args.get("workers", 8),
+        refiners: args.get("refiners", 1),
     };
-    let queue_cap: usize = flag_parse("--queue-cap", 64);
+    let queue_cap: usize = args.get("queue-cap", 64);
 
-    let store = match flag_value("--store-dir") {
-        Some(dir) => Store::open_dir(&dir, shards).expect("failed to open store dir"),
+    let store = match args.get_str("store-dir") {
+        Some(dir) => Store::open_dir(dir, shards).expect("failed to open store dir"),
         None => Store::in_memory(shards),
     };
     let service = AdviceService::new(store, queue_cap);
-    if flag_present("--no-trace") {
+    if args.has_flag("no-trace") {
         service.set_tracing(false);
     }
 
@@ -100,8 +101,8 @@ fn main() {
         "t2opt-serve listening",
         &[("addr", logger::json_str(&addr.to_string()))],
     );
-    if let Some(path) = flag_value("--port-file") {
-        let mut f = std::fs::File::create(&path).expect("failed to create port file");
+    if let Some(path) = args.get_str("port-file") {
+        let mut f = std::fs::File::create(path).expect("failed to create port file");
         writeln!(f, "{}", addr.port()).expect("failed to write port file");
     }
     server.serve().expect("server error");

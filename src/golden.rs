@@ -543,12 +543,45 @@ fn model_digest(
     d.digest()
 }
 
+/// The serve cases of the model matrix for one preset, as
+/// `(name, workload, layout)` in matrix order: every serve workload label
+/// × 8/16/32/64 threads (clamped to the chip, duplicates dropped), each
+/// built as the serve path builds it, at the advisor's layout and at
+/// every candidate of the space its refinement searches. Names read
+/// `<label>/t<threads>/<layout>`.
+pub fn serve_cases(spec: &ChipSpec) -> Vec<(String, Workload, LayoutSpec)> {
+    let advisor_layout = spec.advisor().suggest_layout();
+    let mut threads = SERVE_THREADS
+        .map(|t| t.clamp(1, spec.max_threads()))
+        .to_vec();
+    threads.dedup();
+    let mut out = Vec::new();
+    for label in WORKLOAD_NAMES {
+        for &t in &threads {
+            let workload = resolve_workload(label, t).expect("serve labels resolve");
+            let space = if workload.tag().starts_with("lbm") {
+                ParamSpace::lbm_padding_sweep()
+            } else {
+                ParamSpace::offset_sweep_for(spec)
+            };
+            let mut layouts = vec![("advisor".to_string(), advisor_layout.clone())];
+            layouts.extend(
+                space
+                    .candidates()
+                    .into_iter()
+                    .map(|l| (layout_label(&l), l)),
+            );
+            for (tag, layout) in layouts {
+                out.push((format!("{label}/t{t}/{tag}"), workload.clone(), layout));
+            }
+        }
+    }
+    out
+}
+
 /// Runs the model matrix and returns `(name, digest)` per case, in order:
 ///
-/// * every preset × every serve workload label × 8/16/32/64 threads
-///   (clamped to the chip, duplicates dropped), each built as the serve
-///   path builds it, at the advisor's layout and at every candidate of
-///   the space its refinement searches;
+/// * every preset's [`serve_cases`];
 /// * every preset's `model_validate` grid ([`validation_space`] over
 ///   [`validation_workload`]).
 ///
@@ -561,30 +594,9 @@ pub fn run_model_digests() -> Vec<(String, u64)> {
     for spec in &chips {
         let model = model_for_chip(&ChipConfig::from_spec(spec));
         let advisor = spec.advisor();
-        let mut threads = SERVE_THREADS
-            .map(|t| t.clamp(1, spec.max_threads()))
-            .to_vec();
-        threads.dedup();
-        for label in WORKLOAD_NAMES {
-            for &t in &threads {
-                let workload = resolve_workload(label, t).expect("serve labels resolve");
-                let space = if workload.tag().starts_with("lbm") {
-                    ParamSpace::lbm_padding_sweep()
-                } else {
-                    ParamSpace::offset_sweep_for(spec)
-                };
-                let mut layouts = vec![("advisor".to_string(), advisor.suggest_layout())];
-                layouts.extend(
-                    space
-                        .candidates()
-                        .into_iter()
-                        .map(|l| (layout_label(&l), l)),
-                );
-                for (tag, layout) in layouts {
-                    let digest = model_digest(&model, &advisor, &workload, &layout);
-                    out.push((format!("{}/{label}/t{t}/{tag}", spec.name), digest));
-                }
-            }
+        for (name, workload, layout) in serve_cases(spec) {
+            let digest = model_digest(&model, &advisor, &workload, &layout);
+            out.push((format!("{}/{name}", spec.name), digest));
         }
     }
     for spec in &chips {

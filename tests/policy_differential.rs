@@ -36,9 +36,10 @@
 //! with `==`; a mismatch is a regression in the engine or the closed form,
 //! not a reason to regenerate a golden file.
 
+use t2opt::core::chip::{ChipSpec, PRESET_NAMES};
 use t2opt::golden::{
     load_digests, load_golden, run_engine_paths_matrix, run_matrix, run_model_digests,
-    run_probe_digests, run_program_digests, ENGINE_PATHS_GOLDEN_PATH, GOLDEN_PATH,
+    run_probe_digests, run_program_digests, serve_cases, ENGINE_PATHS_GOLDEN_PATH, GOLDEN_PATH,
     MODEL_GOLDEN_PATH, PROBE_DIGESTS_GOLDEN_PATH, PROGRAMS_GOLDEN_PATH,
 };
 use t2opt::sim::policy::PolicyKind;
@@ -118,6 +119,29 @@ fn probe_streams_match_the_probe_digest_golden_bitwise() {
 #[test]
 fn model_and_advisor_predictions_match_the_model_golden_bitwise() {
     assert_digests_match(MODEL_GOLDEN_PATH, run_model_digests());
+}
+
+/// No golden pins the tuner's per-trial advisor estimate, so it is held
+/// to its definition over the model golden's serve matrix: the mean of
+/// the advisor's per-unit predictions, scaled by the placement's locality
+/// factor, bit for bit.
+#[test]
+fn predicted_efficiency_is_the_mean_of_per_unit_predictions_bitwise() {
+    for preset in PRESET_NAMES {
+        let spec = ChipSpec::preset(preset).expect("registry preset resolves");
+        let advisor = spec.advisor();
+        for (name, workload, layout) in serve_cases(&spec) {
+            let units = workload.stream_units(&layout);
+            let total: f64 = units
+                .iter()
+                .map(|u| advisor.predict(&u.streams).efficiency)
+                .sum();
+            let expect =
+                advisor.locality_factor(layout.placement) * total / units.len().max(1) as f64;
+            let got = workload.predicted_efficiency(&advisor, &layout);
+            assert_eq!(got.to_bits(), expect.to_bits(), "{preset}/{name}");
+        }
+    }
 }
 
 #[test]
