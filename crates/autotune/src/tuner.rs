@@ -7,7 +7,8 @@
 //! single-threaded host work, so trials — not simulator internals — are the
 //! parallel grain). Results are memoized in a content-addressed
 //! [`ResultCache`], checked *before* dispatch: a warm cache re-runs a sweep
-//! with zero new simulations.
+//! with zero new simulations. Tuners that run side by side can share one
+//! [`TaskPool`] for their trials instead.
 
 use crate::cache::{ResultCache, TrialMeta};
 use crate::space::{ParamSpace, N_DIMS};
@@ -18,7 +19,7 @@ use std::sync::Arc;
 use t2opt_core::advisor::LayoutAdvisor;
 use t2opt_core::layout::LayoutSpec;
 use t2opt_kernels::common::place_threads;
-use t2opt_parallel::{Placement, ThreadPool};
+use t2opt_parallel::{Placement, PoolMetricsSnapshot, TaskPool, ThreadPool};
 use t2opt_sim::{ChipConfig, Simulation};
 use t2opt_telemetry::metrics::Sink;
 use t2opt_telemetry::trace::TraceCtx;
@@ -200,6 +201,31 @@ type Objective<'a> = dyn FnMut(&[&[[usize; N_DIMS]]]) -> Vec<f64> + 'a;
 type Descent =
     fn([usize; N_DIMS], [usize; N_DIMS], usize, &mut Objective<'_>) -> ([usize; N_DIMS], f64);
 
+/// Where one [`Tuner::run`] simulates its trials.
+enum Trials {
+    /// A pool of the run's own.
+    Own(ThreadPool),
+    /// A pool shared with other tuners ([`Tuner::shared_pool`]).
+    Shared(Arc<TaskPool>),
+}
+
+impl Trials {
+    fn map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
+        match self {
+            Trials::Own(pool) => pool.map(items, f),
+            Trials::Shared(pool) => pool.map(items, f),
+        }
+    }
+
+    /// The own pool's counters, if it keeps them.
+    fn metrics(&self) -> Option<PoolMetricsSnapshot> {
+        match self {
+            Trials::Own(pool) => pool.metrics(),
+            Trials::Shared(_) => None,
+        }
+    }
+}
+
 /// What one [`Tuner::run`] measures, resolved from its strategy.
 enum Walk {
     /// One parallel batch of grid points, in the given order.
@@ -219,6 +245,7 @@ pub struct Tuner {
     strategy: SearchStrategy,
     cache: ResultCache,
     pool_threads: usize,
+    shared_pool: Option<Arc<TaskPool>>,
     sink: Option<Arc<Sink>>,
 }
 
@@ -236,6 +263,7 @@ impl Tuner {
             strategy: SearchStrategy::Exhaustive,
             cache: ResultCache::in_memory(),
             pool_threads: host,
+            shared_pool: None,
             sink: None,
         }
     }
@@ -264,6 +292,17 @@ impl Tuner {
     /// Sets the host thread-pool size used to run trials.
     pub fn pool_threads(mut self, n: usize) -> Self {
         self.pool_threads = n.max(1);
+        self
+    }
+
+    /// Runs trials on `pool`, which other tuners may share, instead of on
+    /// a pool of [`Tuner::pool_threads`] workers of each run's own. Tuners
+    /// running side by side then never run more trials at once than the
+    /// pool has workers, and one running alone gets them all. Which trials
+    /// run, and what they measure, does not change. The pool counters of
+    /// [`Tuner::telemetry`] cover only a run's own pool.
+    pub fn shared_pool(mut self, pool: Arc<TaskPool>) -> Self {
+        self.shared_pool = Some(pool);
         self
     }
 
@@ -309,10 +348,10 @@ impl Tuner {
         let ctx = TraceCtx::current();
         let run_span = ctx.span("tune.run", 0);
         let trial_ctx = ctx.child_of(run_span.id());
-        let pool = if self.sink.is_some() {
-            ThreadPool::instrumented(self.pool_threads)
-        } else {
-            ThreadPool::new(self.pool_threads)
+        let pool = match &self.shared_pool {
+            Some(pool) => Trials::Shared(Arc::clone(pool)),
+            None if self.sink.is_some() => Trials::Own(ThreadPool::instrumented(self.pool_threads)),
+            None => Trials::Own(ThreadPool::new(self.pool_threads)),
         };
         let mut trials: Vec<Trial> = Vec::new();
         let mut seen: BTreeMap<String, usize> = BTreeMap::new();
@@ -461,7 +500,7 @@ impl Tuner {
     fn measure(
         &mut self,
         groups: &[&[[usize; N_DIMS]]],
-        pool: &ThreadPool,
+        pool: &Trials,
         trials: &mut Vec<Trial>,
         seen: &mut BTreeMap<String, usize>,
         simulations_run: &mut u64,
@@ -830,6 +869,32 @@ mod tests {
             (r.best.spec.clone(), r.best.gbs, r.trials.len())
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn tuners_sharing_a_pool_report_what_pools_of_their_own_do() {
+        // Two searches, each alone on a pool of its own, then both at once
+        // on one shared pool of two workers.
+        let tuners = || {
+            [
+                smoke_tuner(ParamSpace::offset_sweep(128, 512)),
+                smoke_tuner(ParamSpace::t2_default()).strategy(SearchStrategy::transfer_seeded()),
+            ]
+        };
+        let report = |mut tuner: Tuner| t2opt_core::json::to_json_string(&tuner.run());
+        let alone: Vec<String> = tuners().into_iter().map(report).collect();
+        let pool = Arc::new(TaskPool::new(2));
+        let shared: Vec<String> = std::thread::scope(|s| {
+            let runs: Vec<_> = tuners()
+                .into_iter()
+                .map(|tuner| {
+                    let tuner = tuner.shared_pool(Arc::clone(&pool));
+                    s.spawn(move || report(tuner))
+                })
+                .collect();
+            runs.into_iter().map(|run| run.join().unwrap()).collect()
+        });
+        assert_eq!(shared, alone);
     }
 
     #[test]

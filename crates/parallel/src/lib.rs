@@ -11,7 +11,8 @@
 //! A worker gets mutable output one way: [`ThreadPool::run_parts`] moves
 //! part `k` of a list split before the region (for example by
 //! [`schedule::split_static`]) to worker `k`, and [`ThreadPool::map`]
-//! returns one result per item in item order.
+//! returns one result per item in item order. A [`TaskPool`] takes such
+//! maps from many threads at once and runs their items on one team.
 //!
 //! The same [`Schedule`] and [`Placement`] types drive both host execution
 //! (here) and the T2 simulator (`t2opt-sim`), so an experiment's
@@ -36,8 +37,10 @@ pub mod coalesce;
 pub mod placement;
 pub mod pool;
 pub mod schedule;
+pub mod tasks;
 
 pub use coalesce::Coalesce2;
 pub use placement::Placement;
 pub use pool::{PoolMetricsSnapshot, ThreadPool};
 pub use schedule::{chunk_assignment, split_static, Chunk, Schedule};
+pub use tasks::TaskPool;

@@ -14,7 +14,10 @@
 //! - `--store-dir DIR` durable sharded store (default: in-memory)
 //! - `--shards N` shard count for a fresh store dir (default 8)
 //! - `--workers N` request worker threads (default 8)
-//! - `--refiners N` background refiner threads (default 1)
+//! - `--refiners N` background refiner threads (default 2). Jobs on
+//!   different chips refine side by side, all on two shared trial workers;
+//!   jobs on one chip refine one after another on that chip's trial cache,
+//!   so the refined answers are the same for any count
 //! - `--queue-cap N` refinement queue capacity (default 64)
 //! - `--log PATH` append JSONL logs to PATH instead of stderr
 //! - `--no-trace` disable request tracing and store lock-wait timing
@@ -72,9 +75,10 @@ fn main() {
     let host = args.get_str("host").unwrap_or("127.0.0.1");
     let port: u16 = args.get("port", 0);
     let shards: usize = args.get("shards", 8);
+    let defaults = ServerConfig::default();
     let config = ServerConfig {
-        workers: args.get("workers", 8),
-        refiners: args.get("refiners", 1),
+        workers: args.get("workers", defaults.workers),
+        refiners: args.get("refiners", defaults.refiners),
     };
     let queue_cap: usize = args.get("queue-cap", 64);
 
@@ -92,6 +96,7 @@ fn main() {
         signal(SIGTERM, on_signal);
     }
 
+    let (workers, refiners) = (config.workers, config.refiners);
     let server = Server::bind(format!("{host}:{port}"), service, config)
         .expect("failed to bind")
         .observe_signal(&SIGNALED);
@@ -99,7 +104,11 @@ fn main() {
     log_line(
         Level::Info,
         "t2opt-serve listening",
-        &[("addr", logger::json_str(&addr.to_string()))],
+        &[
+            ("addr", logger::json_str(&addr.to_string())),
+            ("workers", workers.to_string()),
+            ("refiners", refiners.to_string()),
+        ],
     );
     if let Some(path) = args.get_str("port-file") {
         let mut f = std::fs::File::create(path).expect("failed to create port file");

@@ -1,6 +1,10 @@
 //! The daemon: a nonblocking acceptor feeding a connection queue drained
 //! by a `t2opt_parallel::ThreadPool` of request workers, plus dedicated
-//! refiner threads draining the refinement queue.
+//! refiner threads draining the refinement queue. Refiners work on
+//! different chips side by side, each job on its chip's trial cache (see
+//! [`crate::refine`]), so the refined answers do not depend on how many
+//! refiners there are. Their jobs all simulate on the service's two trial
+//! workers.
 //!
 //! Shutdown contract: flipping the shutdown flag (via `POST /shutdown`, a
 //! signal observed through [`Server::observe_signal`], or the handle from
@@ -18,7 +22,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use t2opt_autotune::ResultCache;
 use t2opt_parallel::ThreadPool;
 use t2opt_telemetry::logger::{log_line, Level};
 
@@ -27,7 +30,8 @@ use t2opt_telemetry::logger::{log_line, Level};
 pub struct ServerConfig {
     /// Request worker threads (the `ThreadPool` size).
     pub workers: usize,
-    /// Background refiner threads.
+    /// Background refiner threads. Their jobs share the service's two
+    /// trial workers (see `AdviceService::run_refinement`).
     pub refiners: usize,
 }
 
@@ -35,7 +39,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 8,
-            refiners: 1,
+            refiners: 2,
         }
     }
 }
@@ -300,13 +304,12 @@ fn handle_connection(
     }
 }
 
-/// A refiner thread: pops jobs until shutdown, threading one trial-level
-/// [`ResultCache`] across jobs so later refinements reuse simulations and
-/// transfer-seed from earlier kernels' winners.
+/// A refiner thread: leases jobs until shutdown and runs each on its
+/// chip's trial cache, so later refinements on a chip reuse its
+/// simulations and transfer-seed from its earlier kernels' winners.
 fn refiner_loop(service: &AdviceService, queue: &RefineQueue, shutdown: &AtomicBool) {
-    let mut trials = ResultCache::in_memory();
-    while let Some(job) = queue.pop(shutdown) {
-        trials = service.run_refinement(&job, trials);
+    while let Some(lease) = queue.pop(shutdown) {
+        lease.run(|job, trials| service.run_refinement(job, trials));
     }
 }
 

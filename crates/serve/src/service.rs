@@ -21,7 +21,7 @@ use crate::http::Response;
 use crate::refine::{RefineJob, RefineQueue};
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use t2opt_autotune::surrogate::{model_for_chip, surrogate_score};
 use t2opt_autotune::{ParamSpace, ResultCache, SearchStrategy, Tuner, Workload};
@@ -30,6 +30,7 @@ use t2opt_core::json::{parse_json, to_json_string};
 use t2opt_core::layout::LayoutSpec;
 use t2opt_kernels::lbm::LbmLayout;
 use t2opt_model::PerfModel;
+use t2opt_parallel::TaskPool;
 use t2opt_sim::ChipConfig;
 use t2opt_store::{Entry, Store, TrialMeta};
 use t2opt_telemetry::export::{prometheus_text, traces_chrome_trace};
@@ -96,12 +97,17 @@ const TRACE_BUF_TRACES: usize = 64;
 const TRACE_BUF_SPANS: usize = 64;
 /// Default trace count returned by `GET /trace`.
 const TRACE_DEFAULT_N: usize = 32;
+/// Workers of the pool every refinement of a service simulates its trials
+/// on: the most simulations its refiners run at once, together.
+const TRIAL_WORKERS: usize = 2;
 
 /// Shared, thread-safe service state behind every endpoint.
 pub struct AdviceService {
     store: Store,
     chips: BTreeMap<String, ChipEntry>,
     refine: Arc<RefineQueue>,
+    /// Every refinement's trials run here, started by the first one.
+    trial_pool: OnceLock<Arc<TaskPool>>,
     sink: Arc<Sink>,
     traces: Arc<TraceBuffer>,
     // Hot-path instruments, resolved once at construction so request
@@ -152,6 +158,7 @@ impl AdviceService {
             store,
             chips,
             refine: Arc::new(RefineQueue::new(queue_capacity)),
+            trial_pool: OnceLock::new(),
             traces: TraceBuffer::new(TRACE_BUF_TRACES, TRACE_BUF_SPANS),
             lat_cache_us: sink.histogram("serve.latency.cache_tier_us"),
             lat_advisor_us: sink.histogram("serve.latency.advisor_tier_us"),
@@ -436,11 +443,15 @@ impl AdviceService {
     }
 
     /// Runs one queued refinement job to completion: a `ModelPruned` (or,
-    /// when the shared trial cache can seed it, `TransferSeeded`) autotune
-    /// over the chip's offset sweep, then a monotone store upgrade. The
-    /// trial cache is threaded through so later jobs reuse simulations and
-    /// transfer seeds from earlier ones. Only refiner threads call this —
-    /// never the request path.
+    /// when the trial cache can seed it, `TransferSeeded`) autotune over
+    /// the chip's offset sweep, then a monotone store upgrade. The trial
+    /// cache is threaded through so later jobs on the same chip reuse
+    /// simulations and transfer seeds from earlier ones; entries of other
+    /// chips never match a key or seed one. The trials run on the
+    /// service's pool of two workers, which jobs running side by side
+    /// share: a job alone gets both, and together they never simulate more
+    /// than two trials at once. Only refiner threads call this — never the
+    /// request path.
     pub fn run_refinement(&self, job: &RefineJob, trials: ResultCache) -> ResultCache {
         let wait_us = job.enqueued_at.elapsed().as_micros().min(u64::MAX as u128) as u64;
         self.queue_wait_us.record(wait_us);
@@ -469,7 +480,10 @@ impl AdviceService {
         let mut tuner = Tuner::new(job.workload.clone(), chip.config.clone(), space)
             .strategy(strategy)
             .cache(trials)
-            .pool_threads(2);
+            .shared_pool(Arc::clone(
+                self.trial_pool
+                    .get_or_init(|| Arc::new(TaskPool::new(TRIAL_WORKERS))),
+            ));
         // The tuner records `tune.run` and its trial spans under refine.run.
         let report = {
             let _tuning = ctx.child_of(run_span.id()).enter();
@@ -684,11 +698,11 @@ mod tests {
         let svc = service();
         let body = r#"{"chip":"budget-2mc","workload":"triad","threads":8}"#;
         svc.advise(body);
-        let job = svc
-            .refine_queue()
+        let queue = svc.refine_queue();
+        let lease = queue
             .try_pop()
             .expect("advise must have queued a refinement");
-        svc.run_refinement(&job, ResultCache::in_memory());
+        svc.run_refinement(lease.job(), ResultCache::in_memory());
         let obj = parse_answer(&svc.advise(body));
         assert_eq!(obj["tier"].as_str(), Some("cache"));
         assert_eq!(obj["source"].as_str(), Some("measured"));
@@ -795,10 +809,12 @@ mod tests {
         );
         assert_eq!(resp.status, 200);
         // Run the queued refinement so the late spans join the trace.
-        let job = svc.refine_queue().try_pop().expect("refinement queued");
+        let queue = svc.refine_queue();
+        let lease = queue.try_pop().expect("refinement queued");
+        let job = lease.job();
         assert_eq!(job.trace_id, ctx.trace_id(), "job carries the trace");
         assert_ne!(job.parent_span, 0, "job parents to the enqueue span");
-        let simulated = svc.run_refinement(&job, ResultCache::in_memory()).len();
+        let simulated = svc.run_refinement(job, ResultCache::in_memory()).len();
         ctx.finish_root("request", 3);
         let t = &traces.recent(1)[0];
         let names: Vec<&str> = t.spans().iter().map(|s| s.name.as_str()).collect();

@@ -1,12 +1,14 @@
 //! End-to-end tests over real TCP: the full cold → refine → warm serve
-//! path, metrics consistency, graceful shutdown with store flush,
-//! bounded-queue drop accounting, and hostile or pipelined input.
+//! path, refined answers that do not depend on the refiner count, metrics
+//! consistency, graceful shutdown with store flush, bounded-queue drop
+//! accounting, and hostile or pipelined input.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use t2opt_core::json::{parse_json, JsonValue};
+use t2opt_core::layout::LayoutSpec;
 use t2opt_serve::{AdviceService, Client, Server, ServerConfig};
 use t2opt_store::Store;
 
@@ -134,6 +136,78 @@ fn cold_advise_refines_to_cache_tier_and_survives_restart() {
     shutdown.store(true, std::sync::atomic::Ordering::Relaxed);
     serving.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sends `queries` in order to a fresh in-memory daemon with `refiners`
+/// refiner threads, waits for refinement to settle, and returns each
+/// query's refined store entry: the bits of its GB/s, its tag and its
+/// layout.
+fn refined_entries(queries: &[String], refiners: usize) -> Vec<(u64, String, LayoutSpec)> {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        AdviceService::new(Store::in_memory(2), queries.len()),
+        ServerConfig {
+            workers: 2,
+            refiners,
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let service = server.service();
+    let shutdown = server.shutdown_handle();
+    let serving = std::thread::spawn(move || server.serve().unwrap());
+
+    let mut client = Client::connect(addr).unwrap();
+    let keys: Vec<String> = queries
+        .iter()
+        .map(|q| {
+            let (status, body) = client.post("/advise", q).unwrap();
+            assert_eq!(status, 200, "{q}: {body}");
+            obj(&body)["key"].as_str().unwrap().to_string()
+        })
+        .collect();
+    await_settled(&mut client, Duration::from_secs(300));
+    shutdown.store(true, std::sync::atomic::Ordering::Relaxed);
+    serving.join().unwrap();
+
+    keys.iter()
+        .map(|key| {
+            let entry = service.store().peek_entry(key).expect("a stored answer");
+            let meta = entry.meta.expect("refined entries carry their layout");
+            assert!(meta.tag.ends_with("#refined"), "{key}: {}", meta.tag);
+            (entry.gbs.to_bits(), meta.tag, meta.spec)
+        })
+        .collect()
+}
+
+#[test]
+fn refined_answers_do_not_depend_on_the_refiner_count() {
+    // Three chips, one of them NUMA, and three workload families in one
+    // fixed shuffled order: a chip's later jobs are transfer-seeded from
+    // its earlier families' winners, so a job that saw another cache than
+    // the single refiner's would show in its answer.
+    let queries: Vec<String> = [
+        ("2s-numa", "jacobi"),
+        ("budget-2mc", "triad"),
+        ("ultrasparc-t2", "mix"),
+        ("budget-2mc", "jacobi"),
+        ("2s-numa", "triad"),
+        ("ultrasparc-t2", "jacobi"),
+        ("budget-2mc", "mix"),
+        ("ultrasparc-t2", "triad"),
+        ("2s-numa", "mix"),
+    ]
+    .iter()
+    .map(|(chip, workload)| format!(r#"{{"chip":"{chip}","workload":"{workload}","threads":8}}"#))
+    .collect();
+    let single = refined_entries(&queries, 1);
+    for refiners in [2, 3] {
+        assert_eq!(
+            refined_entries(&queries, refiners),
+            single,
+            "{refiners} refiners answer otherwise than one"
+        );
+    }
 }
 
 #[test]

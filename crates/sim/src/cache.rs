@@ -9,6 +9,7 @@
 //! STREAM triad volume 4/3 of the reported one.
 
 use crate::config::L2Config;
+use std::sync::{Mutex, PoisonError};
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +29,9 @@ pub enum Access {
 /// A flat tag store: one set's ways sit side by side in `tags` and `meta`,
 /// and `first_way` points at them. A set gets its ways on its first
 /// access, so a run that touches few sets writes few, and the arrays,
-/// reserved for every set, never reallocate.
+/// reserved for every set, never reallocate. A dropped cache leaves its
+/// arrays on a process-wide spare list for the next [`L2Cache::new`], so
+/// a run of simulations allocates its tag stores once.
 pub struct L2Cache {
     /// Per set, the index of its first way in `tags` and `meta`, or
     /// [`UNTOUCHED`] until the set's first access.
@@ -51,6 +54,14 @@ const UNTOUCHED: u32 = u32::MAX;
 /// with a `u32`.
 pub(crate) const MAX_LINES: usize = UNTOUCHED as usize;
 
+/// The arrays of a dropped cache: `first_way`, `tags` and `meta`.
+type TagStore = (Vec<u32>, Vec<u64>, Vec<u64>);
+
+/// Tag stores of dropped caches, for [`L2Cache::new`] to reuse. It holds
+/// at most as many as were ever alive at once, in any thread: a store
+/// freed instead would stay resident in its thread's allocator arena.
+static SPARE: Mutex<Vec<TagStore>> = Mutex::new(Vec::new());
+
 impl L2Cache {
     /// Builds an empty cache with the given geometry.
     pub fn new(cfg: &L2Config) -> Self {
@@ -64,10 +75,18 @@ impl L2Cache {
             lines <= MAX_LINES,
             "{lines} lines exceed the {MAX_LINES} a cache indexes"
         );
+        let spare = SPARE.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        let (mut first_way, mut tags, mut meta) = spare.unwrap_or_default();
+        first_way.clear();
+        first_way.resize(n_sets, UNTOUCHED);
+        tags.clear();
+        tags.reserve_exact(lines);
+        meta.clear();
+        meta.reserve_exact(lines);
         L2Cache {
-            first_way: vec![UNTOUCHED; n_sets],
-            tags: Vec::with_capacity(lines),
-            meta: Vec::with_capacity(lines),
+            first_way,
+            tags,
+            meta,
             ways: cfg.ways,
             set_mask: n_sets as u64 - 1,
             set_bits: n_sets.trailing_zeros(),
@@ -134,6 +153,20 @@ impl L2Cache {
     /// for tests).
     pub fn occupancy(&self) -> usize {
         self.tags.iter().filter(|&&t| t != 0).count()
+    }
+}
+
+impl Drop for L2Cache {
+    fn drop(&mut self) {
+        let store = (
+            std::mem::take(&mut self.first_way),
+            std::mem::take(&mut self.tags),
+            std::mem::take(&mut self.meta),
+        );
+        SPARE
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(store);
     }
 }
 

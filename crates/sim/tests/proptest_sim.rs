@@ -130,7 +130,11 @@ proptest! {
     /// hit or miss and write-back address, each `contains`, and the final
     /// occupancy. Addresses come from a pool of three lines per way, so
     /// sets conflict and dirty victims occur; `high` moves the pool above
-    /// 2^40 to give the tags high bits.
+    /// 2^40 to give the tags high bits. Each cache is built on a tag store
+    /// an earlier cache dropped (`L2Cache`'s spare list), so the test also
+    /// pins that a recycled store starts empty: run alone, each geometry
+    /// reuses the previous one's, which grows along a row of ways and
+    /// shrinks into the next row and into the next case.
     #[test]
     fn cache_matches_the_reference_model(
         calls in proptest::collection::vec((0u64..1 << 20, 0u64..64, 0u8..3), 1..800),
